@@ -3,9 +3,10 @@
 Convolution and pooling are single registry ops (rather than compositions
 of Tensor primitives) because they dominate training time; their backward
 kernels are hand-derived and covered by finite-difference tests.  The
-kernels live in :mod:`repro.ops.conv` and reuse pooled im2col workspaces
-(:mod:`repro.ops.workspace`), so the hot patch-matrix allocation is made
-once per shape rather than once per call.
+kernels live in :mod:`repro.ops.conv`: the convolutions take ``padding``
+themselves (no separate pad op or graph node) and reuse pooled im2col
+workspaces (:mod:`repro.ops.workspace`), so the hot patch-matrix
+allocation is made once per shape rather than once per call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from repro.tensor import Tensor, apply
-from repro.tensor.ops import pad1d, pad2d
 
 
 def conv2d(
@@ -25,15 +25,14 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2D convolution over NCHW input with an (F, C, KH, KW) kernel."""
-    if padding:
-        x = pad2d(x, padding)
+    """2D convolution over NCHW input with an (F, C, KH, KW) kernel,
+    zero-padded by ``padding`` on each side."""
     c = x.shape[1]
     c_w = weight.shape[1]
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {c_w}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply("conv2d", inputs, stride=stride)
+    return apply("conv2d", inputs, stride=stride, padding=padding)
 
 
 def conv1d(
@@ -43,15 +42,14 @@ def conv1d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """1D convolution over (N, C, L) input — the TextCNN workhorse."""
-    if padding:
-        x = pad1d(x, padding)
+    """1D convolution over (N, C, L) input — the TextCNN workhorse —
+    zero-padded by ``padding`` on each side."""
     c = x.shape[1]
     c_w = weight.shape[1]
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {c_w}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply("conv1d", inputs, stride=stride)
+    return apply("conv1d", inputs, stride=stride, padding=padding)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:

@@ -1,9 +1,11 @@
 """Batch normalisation (1D and 2D), with running statistics buffers.
 
-Built compositionally from Tensor primitives so the backward pass is exact
-by construction; running mean/variance live in ``_buffers`` so they ride
-along with ``state_dict``/``load_state_dict`` (snapshots must capture them
-or evaluation-time accuracy collapses).
+Both layers dispatch the single ``batch_norm`` registry op
+(:mod:`repro.ops.norm`), whose hand-written backward is covered by
+finite-difference and bitwise-parity tests.  Running mean/variance live in
+``_buffers`` so they ride along with ``state_dict``/``load_state_dict``
+(snapshots must capture them or evaluation-time accuracy collapses); the
+op rebinds them in training mode.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, default_dtype
+from repro.tensor import Tensor, apply, default_dtype
 
 
 class _BatchNorm(Module):
@@ -36,27 +38,11 @@ class _BatchNorm(Module):
     def _reduce_axes(self):
         raise NotImplementedError
 
-    def _param_shape(self):
-        raise NotImplementedError
-
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._reduce_axes()
-        shape = self._param_shape()
-        if self.training:
-            batch_mean = x.data.mean(axis=axes)
-            batch_var = x.data.var(axis=axes)
-            m = self.momentum
-            self._buffers["running_mean"] = m * self._buffers["running_mean"] + (1 - m) * batch_mean
-            self._buffers["running_var"] = m * self._buffers["running_var"] + (1 - m) * batch_var
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            x_hat = centered / ((var + self.eps) ** 0.5)
-        else:
-            mean = self._buffers["running_mean"].reshape(shape)
-            std = np.sqrt(self._buffers["running_var"].reshape(shape) + self.eps)
-            x_hat = (x - Tensor(mean)) / Tensor(std)
-        return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
+        return apply("batch_norm", (x, x, self.gamma, self.beta),
+                     axes=self._reduce_axes(), eps=self.eps,
+                     momentum=self.momentum, running=self._buffers,
+                     training=self.training)
 
 
 class BatchNorm1d(_BatchNorm):
@@ -65,15 +51,9 @@ class BatchNorm1d(_BatchNorm):
     def _reduce_axes(self):
         return (0,)
 
-    def _param_shape(self):
-        return (1, self.num_features)
-
 
 class BatchNorm2d(_BatchNorm):
     """Normalise over batch and spatial axes of (N, C, H, W) activations."""
 
     def _reduce_axes(self):
         return (0, 2, 3)
-
-    def _param_shape(self):
-        return (1, self.num_features, 1, 1)

@@ -15,6 +15,7 @@ from repro.ops import elementwise as _elementwise  # noqa: F401
 from repro.ops import shape as _shape  # noqa: F401
 from repro.ops import reduce as _reduce  # noqa: F401
 from repro.ops import conv as _conv  # noqa: F401
+from repro.ops import norm as _norm  # noqa: F401
 from repro.ops import fused as _fused  # noqa: F401
 
 __all__ = [

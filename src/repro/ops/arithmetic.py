@@ -2,8 +2,9 @@
 
 Backward arithmetic mirrors the pre-registry closure implementations
 operation-for-operation — golden-run parity depends on it.  Broadcasting
-is resolved by the caller's gradient accumulation (``_sum_to_shape``), so
-kernels return gradients in the *output* shape.
+is resolved by the caller's gradient accumulation
+(:func:`repro.ops.reduce.sum_to_shape`), so kernels return gradients in
+the *output* shape.
 """
 
 from __future__ import annotations

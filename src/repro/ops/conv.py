@@ -1,12 +1,12 @@
 """Convolution and pooling kernels with pooled im2col workspaces.
 
-Padding is *not* handled here: the :mod:`repro.nn.functional` wrappers
-apply the (differentiable) ``pad1d``/``pad2d`` ops first, exactly as the
-pre-registry implementation did, so the autograd graph and arithmetic are
-unchanged.  The im2col patch matrix — the hottest allocation in training —
-is checked out of :mod:`repro.ops.workspace` and recorded in
-``ctx.workspaces``; the tensor dispatcher returns it to the pool after
-backward (or immediately when untaped).
+The convolutions own their zero padding: the forward copies the input
+into a zero-bordered buffer before unfolding it, and the backward slices
+the interior out of the folded gradient, so a padded convolution is one
+dispatch and one graph node.  The im2col patch matrix — the hottest
+allocation in training — is checked out of :mod:`repro.ops.workspace`
+and recorded in ``ctx.workspaces``; the tensor dispatcher returns it to
+the pool after backward (or immediately when untaped).
 """
 
 from __future__ import annotations
@@ -19,6 +19,23 @@ from repro.ops.registry import register
 
 def _conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad both sides of each spatial axis of an (N, C, ...) array."""
+    if not padding:
+        return x
+    padded = np.zeros(x.shape[:2] + tuple(size + 2 * padding
+                                          for size in x.shape[2:]),
+                      dtype=x.dtype)
+    padded[_interior(x.ndim, padding)] = x
+    return padded
+
+
+def _interior(ndim: int, padding: int) -> tuple:
+    """Index of the unpadded region of a :func:`_pad` result."""
+    return (slice(None), slice(None)) + \
+        (slice(padding, -padding),) * (ndim - 2)
 
 
 def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
@@ -40,22 +57,32 @@ def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
 
 
 def _col2im(cols, x_shape, kh, kw, stride):
-    """Fold patch columns back onto the input, summing overlaps."""
+    """Fold patch columns back onto the input, summing overlaps.
+
+    One transposing copy puts the columns in a (KH, KW, OH, OW, N, C)
+    layout; the shifted adds then run over an (H, W, N, C) image, where
+    each one covers long contiguous runs of N*C values instead of short
+    strided rows.  Every element still receives the same additions in the
+    same (i, j) order, so the result is bit-identical to folding in NCHW.
+    Returns an (N, C, H, W) view.
+    """
     n, c, h, w = x_shape
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    x = np.zeros(x_shape, dtype=cols.dtype)
+    cols = np.ascontiguousarray(
+        cols.reshape(n, c, kh, kw, out_h, out_w).transpose(2, 3, 4, 5, 0, 1))
+    x = np.zeros((h, w, n, c), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            x[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
-    return x
+            x[i:i_max:stride, j:j_max:stride] += cols[i, j]
+    return x.transpose(2, 3, 0, 1)
 
 
-def _conv2d_forward(ctx, x, weight, *rest, stride):
+def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
     bias = rest[0] if rest else None
+    x = _pad(x, padding)
     n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
     out_h = _conv_output_size(h, kh, stride)
@@ -73,6 +100,7 @@ def _conv2d_forward(ctx, x, weight, *rest, stride):
     ctx.weight_shape = weight.shape
     ctx.x_shape = (n, c, h, w)
     ctx.dims = (n, f, out_h, out_w, kh, kw, stride)
+    ctx.padding = padding
     return out.reshape(n, f, out_h, out_w)
 
 
@@ -89,13 +117,16 @@ def _conv2d_backward(ctx, g):
     if needs[0]:
         grad_cols = ctx.w_mat.T @ g_mat
         grad_x = _col2im(grad_cols, ctx.x_shape, kh, kw, stride)
+        if ctx.padding:
+            grad_x = grad_x[_interior(4, ctx.padding)]
     if len(needs) > 2:
         return (grad_x, grad_w, grad_b)
     return (grad_x, grad_w)
 
 
-def _conv1d_forward(ctx, x, weight, *rest, stride):
+def _conv1d_forward(ctx, x, weight, *rest, stride, padding):
     bias = rest[0] if rest else None
+    x = _pad(x, padding)
     n, c, length = x.shape
     f, _, k = weight.shape
     out_l = _conv_output_size(length, k, stride)
@@ -114,6 +145,7 @@ def _conv1d_forward(ctx, x, weight, *rest, stride):
     ctx.w_mat = w_mat
     ctx.weight_shape = weight.shape
     ctx.dims = (n, c, length, f, k, out_l, stride)
+    ctx.padding = padding
     return out
 
 
@@ -132,6 +164,8 @@ def _conv1d_backward(ctx, g):
         grad_x = np.zeros((n, c, length), dtype=g.dtype)
         for i in range(k):
             grad_x[:, :, i:i + stride * out_l:stride] += grad_cols[:, :, i]
+        if ctx.padding:
+            grad_x = grad_x[_interior(3, ctx.padding)]
     if len(needs) > 2:
         return (grad_x, grad_w, grad_b)
     return (grad_x, grad_w)

@@ -1,10 +1,31 @@
-"""Reduction and normalisation kernels: sum, max, softmax, log_softmax, l2norm."""
+"""Reduction and normalisation kernels: sum, max, softmax, log_softmax, l2norm.
+
+Also home of :func:`sum_to_shape`, the one broadcast-undoing reduction:
+the tensor layer's gradient accumulation and the ``batch_norm`` backward
+both call it, so their reductions agree bit for bit by construction.
+"""
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
 from repro.ops.registry import register
+
+
+def sum_to_shape(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` (produced under broadcasting) back to ``shape``."""
+    if grad.shape == shape:
+        return grad
+    # Remove leading broadcast dimensions.
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    # Sum over axes that were broadcast from size 1.
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
 
 
 def _sum_forward(ctx, x, axis, keepdims):

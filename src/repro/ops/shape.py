@@ -1,4 +1,4 @@
-"""Shape/structure kernels: reshape, transpose, getitem, concat, stack, pad."""
+"""Shape/structure kernels: reshape, transpose, getitem, concat, stack."""
 
 from __future__ import annotations
 
@@ -69,30 +69,8 @@ def _stack_backward(ctx, g):
                  for position, needed in enumerate(ctx.needs))
 
 
-def _pad1d_forward(ctx, x, padding):
-    ctx.padding = padding
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-
-
-def _pad1d_backward(ctx, g):
-    padding = ctx.padding
-    return (g[:, :, padding:-padding],)
-
-
-def _pad2d_forward(ctx, x, padding):
-    ctx.padding = padding
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
-def _pad2d_backward(ctx, g):
-    padding = ctx.padding
-    return (g[:, :, padding:-padding, padding:-padding],)
-
-
 register("reshape", _reshape_forward, _reshape_backward)
 register("transpose", _transpose_forward, _transpose_backward)
 register("getitem", _getitem_forward, _getitem_backward)
 register("concat", _concat_forward, _concat_backward)
 register("stack", _stack_forward, _stack_backward)
-register("pad1d", _pad1d_forward, _pad1d_backward)
-register("pad2d", _pad2d_forward, _pad2d_backward)

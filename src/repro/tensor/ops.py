@@ -4,8 +4,6 @@ These complement the method-style ops on ``Tensor`` with the structural and
 normalisation operations the paper's models need:
 
 * ``concatenate`` — DenseNet's dense connectivity.
-* ``pad1d`` / ``pad2d`` — convolution padding and the CIFAR augmentation
-  crop.
 * ``softmax`` / ``log_softmax`` — soft targets (the paper's `h_t(x)`).
 * ``l2norm`` — per-sample ``||h_t(x) - H_{t-1}(x)||_2``, the penalty in the
   diversity-driven loss (paper Eq. 9/10) whose gradient is Eq. 11.
@@ -26,24 +24,6 @@ from repro.tensor.tensor import Tensor, apply
 def concatenate(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     """Differentiably concatenate tensors along ``axis``."""
     return apply("concat", tuple(Tensor.ensure(t) for t in tensors), axis=axis)
-
-
-def pad1d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the trailing (length) dim of an (N, C, L) tensor.
-
-    The backward slice ``g[:, :, padding:-padding]`` is only well-formed
-    for ``padding > 0``, so the no-op case returns ``x`` unchanged.
-    """
-    if padding == 0:
-        return x
-    return apply("pad1d", (x,), padding=padding)
-
-
-def pad2d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the two trailing spatial dims of an NCHW tensor."""
-    if padding == 0:
-        return x
-    return apply("pad2d", (x,), padding=padding)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

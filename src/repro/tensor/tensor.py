@@ -35,6 +35,7 @@ import numpy as np
 from repro.ops import fastpath as _fastpath_mod
 from repro.ops import profiler as _profiler
 from repro.ops import workspace as _workspace
+from repro.ops.reduce import sum_to_shape
 from repro.ops.registry import OpContext, get_op
 from repro.tensor import sanitize as _sanitize
 from repro.tensor.dtypes import check_valid_dtype, default_dtype
@@ -92,20 +93,6 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     materialised = np.asarray(data)
     check_valid_dtype(materialised.dtype)
     return materialised.astype(default_dtype(), copy=False)
-
-
-def _sum_to_shape(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` (produced under broadcasting) back to ``shape``."""
-    if grad.shape == shape:
-        return grad
-    # Remove leading broadcast dimensions.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # Sum over axes that were broadcast from size 1.
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
@@ -239,7 +226,7 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _sum_to_shape(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        grad = sum_to_shape(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:

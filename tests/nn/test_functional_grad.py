@@ -1,10 +1,10 @@
 """Gradient checks for the fused conv/pool primitives."""
 
 import numpy as np
+import pytest
 
 from repro.nn import functional as F
 from repro.tensor import Tensor, gradcheck
-from repro.tensor.ops import pad1d, pad2d
 
 RNG = np.random.default_rng(11)
 
@@ -56,7 +56,7 @@ class TestConv1dGrad:
 
     def test_with_stride_and_padding(self):
         # stride > 1 leaves trailing padded columns unconsumed; their
-        # gradient must come back exactly zero through the pad1d backward.
+        # gradient must come back exactly zero through the unpadding slice.
         assert gradcheck(lambda a, w, b: F.conv1d(a, w, b, stride=2, padding=2),
                          [t((2, 2, 7)), t((3, 2, 3)), t((3,))])
 
@@ -74,18 +74,20 @@ class TestConv1dGrad:
         np.testing.assert_allclose(x.grad, np.full((1, 1, 5), 3.0))
 
 
-class TestPadGrad:
-    def test_pad1d(self):
-        assert gradcheck(lambda a: pad1d(a, 2), [t((2, 3, 5))])
+@pytest.mark.parametrize("stride", [1, 2], ids=["stride1", "stride2"])
+@pytest.mark.parametrize("padding", [1, 2], ids=["pad1", "pad2"])
+class TestPaddedConvGrad:
+    """Float64 gradchecks of the zero padding the conv kernels apply."""
 
-    def test_pad2d(self):
-        assert gradcheck(lambda a: pad2d(a, 1), [t((2, 2, 3, 3))])
+    def test_conv1d(self, padding, stride):
+        assert gradcheck(
+            lambda a, w, b: F.conv1d(a, w, b, stride=stride, padding=padding),
+            [t((2, 2, 5)), t((3, 2, 3)), t((3,))])
 
-    def test_pad_zero_is_identity(self):
-        x = t((1, 2, 4))
-        assert pad1d(x, 0) is x
-        y = t((1, 2, 4, 4))
-        assert pad2d(y, 0) is y
+    def test_conv2d(self, padding, stride):
+        assert gradcheck(
+            lambda a, w, b: F.conv2d(a, w, b, stride=stride, padding=padding),
+            [t((2, 2, 5, 5)), t((3, 2, 3, 3)), t((3,))])
 
 
 class TestPoolingGrad:

@@ -8,7 +8,6 @@ from repro.tensor.ops import (
     concatenate,
     l2norm,
     log_softmax,
-    pad2d,
     softmax,
     stack,
     where,
@@ -116,9 +115,6 @@ class TestStructuralGrads:
     def test_stack(self):
         assert gradcheck(lambda a, b: stack([a, b], axis=0),
                          [t((2, 3)), t((2, 3))])
-
-    def test_pad2d(self):
-        assert gradcheck(lambda a: pad2d(a, 2), [t((1, 2, 3, 3))])
 
     def test_where(self):
         condition = RNG.random((3, 3)) > 0.5
