@@ -35,7 +35,7 @@ from repro.core.callbacks import Callback
 from repro.core.checkpointing import FaultTolerance
 from repro.core.diversity import correctness_sign
 from repro.core.engine import EnsembleEngine, RoundOutcome
-from repro.core.ensemble import average_probs
+from repro.core.ensemble import alpha_vote
 from repro.core.results import FitResult
 from repro.data.dataset import Dataset
 from repro.data.loader import weighted_sample
@@ -126,7 +126,7 @@ class AdaBoostNC(EnsembleMethod):
     @staticmethod
     def _penalty(member_train_probs, alphas, labels) -> np.ndarray:
         """``p_t(i) = 1 − |amb_t(i)|`` from the hard correct/incorrect coding."""
-        ensemble_predictions = average_probs(member_train_probs, alphas).argmax(axis=1)
+        ensemble_predictions = alpha_vote(alphas, member_train_probs).argmax(axis=1)
         ensemble_sign = correctness_sign(ensemble_predictions, labels)
         alpha_total = float(np.sum(alphas)) + _EPS
         amb = np.zeros(len(labels), dtype=np.float64)

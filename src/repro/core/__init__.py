@@ -12,7 +12,7 @@ from repro.core.diversity import (
     similarity_matrix,
 )
 from repro.core.losses import diversity_driven_loss, diversity_loss_grad_reference
-from repro.core.ensemble import Ensemble, average_probs, majority_vote
+from repro.core.ensemble import Ensemble, alpha_vote, majority_vote
 from repro.core.boosting import (
     bias_per_sample,
     initial_model_weight,
@@ -54,7 +54,6 @@ from repro.core.serialization import (
     load_ensemble,
     save_ensemble,
 )
-from repro.core.stacking import SoftmaxRegression, StackedEnsemble
 from repro.core.edde import EDDETrainer
 
 __all__ = [
@@ -92,7 +91,7 @@ __all__ = [
     "hard_ambiguity",
     "diversity_driven_loss",
     "diversity_loss_grad_reference",
-    "average_probs",
+    "alpha_vote",
     "majority_vote",
     "similarity_per_sample",
     "bias_per_sample",
@@ -110,6 +109,4 @@ __all__ = [
     "load_ensemble",
     "LoadReport",
     "DroppedMember",
-    "StackedEnsemble",
-    "SoftmaxRegression",
 ]

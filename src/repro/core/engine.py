@@ -16,12 +16,11 @@ ensemble accuracy — costs **one model evaluation per member for the whole
 fit** instead of re-running every prior member each round.  That turns the
 O(T²) model-evaluation hot path of the naive round loop into O(T).
 
-Aggregation over the cached arrays deliberately reproduces
-:meth:`repro.core.ensemble.Ensemble.predict_probs` operation-for-operation
-(normalise the α's first, then left-fold the weighted member outputs), so
-fixed-seed results are bit-identical to evaluating the ensemble directly;
-the aggregate is memoized per member count, making repeated queries within
-a round free.
+Aggregation over the cached arrays goes through the same
+:func:`repro.core.ensemble.alpha_vote` as
+:meth:`repro.core.ensemble.Ensemble.predict_probs`, so fixed-seed results
+are bit-identical to evaluating the ensemble directly; the aggregate is
+memoized per member count, making repeated queries within a round free.
 
 The engine is also where fault tolerance lives (see
 :mod:`repro.core.checkpointing`): a :class:`~repro.core.checkpointing.
@@ -47,7 +46,7 @@ from repro.core.callbacks import (
     VerboseRounds,
 )
 from repro.core.checkpointing import MemberDiverged, RetryPolicy
-from repro.core.ensemble import Ensemble
+from repro.core.ensemble import Ensemble, alpha_vote
 from repro.core.results import FitResult, MemberRecord
 from repro.core.trainer import LossFn, TrainingConfig, train_model
 from repro.data.dataset import Dataset
@@ -126,22 +125,13 @@ class PredictionCache:
         return accuracy(self._member_probs[name][index], y)
 
     def ensemble_probs(self, name: str) -> np.ndarray:
-        """α-weighted average of the cached member outputs on ``name``.
-
-        Matches ``Ensemble.predict_probs`` exactly: weights are the α's
-        normalised by their sum, folded left-to-right in member order.
-        """
+        """Eq. 16 over the cached member outputs on ``name``."""
         if not self.alphas:
             raise RuntimeError("prediction cache is empty")
         cached = self._aggregate.get(name)
         if cached is not None and cached[0] == len(self.alphas):
             return cached[1]
-        alphas = np.asarray(self.alphas)
-        weights = alphas / alphas.sum()
-        member_probs = self._member_probs[name]
-        combined = np.zeros_like(member_probs[0])
-        for weight, probs in zip(weights, member_probs):
-            combined += weight * probs
+        combined = alpha_vote(self.alphas, self._member_probs[name])
         self._aggregate[name] = (len(self.alphas), combined)
         return combined
 

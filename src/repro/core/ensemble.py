@@ -9,13 +9,35 @@ and keeps every downstream formula well-defined.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.errors import InvalidRequest
 from repro.nn import accuracy, predict_probs
 from repro.nn.module import Module
+
+
+def alpha_vote(alphas: Sequence[float],
+               member_probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Eq. 16 (normalised): the α-weighted average of member softmax rows.
+
+    The one implementation of the vote.  Weights are the α's normalised
+    by their sum, folded left to right in member order; every caller —
+    :meth:`Ensemble.predict_probs`, the engine's prediction cache, the
+    serving aggregate, AdaBoost.NC's penalty — goes through here, so
+    their answers agree bit for bit by construction.
+    """
+    if not len(member_probs):
+        raise ValueError("no member predictions")
+    alphas = np.asarray(alphas)
+    if len(alphas) != len(member_probs):
+        raise ValueError("one alpha per member required")
+    weights = alphas / alphas.sum()
+    combined = np.zeros_like(member_probs[0])
+    for weight, probs in zip(weights, member_probs):
+        combined += weight * probs
+    return combined
 
 
 class Ensemble:
@@ -100,13 +122,7 @@ class Ensemble:
             raise InvalidRequest(
                 f"input contains {bad} non-finite (NaN/Inf) value(s)",
                 field="values")
-        alphas = np.asarray(self.alphas)
-        weights = alphas / alphas.sum()
-        member_probs = self.member_probs(x, batch_size)
-        combined = np.zeros_like(member_probs[0])
-        for weight, probs in zip(weights, member_probs):
-            combined += weight * probs
-        return combined
+        return alpha_vote(self.alphas, self.member_probs(x, batch_size))
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         return self.predict_probs(x, batch_size=batch_size).argmax(axis=1)
@@ -133,17 +149,3 @@ def majority_vote(member_probs: Sequence[np.ndarray]) -> np.ndarray:
     counts = np.zeros((num_classes, votes.shape[1]), dtype=np.int64)
     np.add.at(counts, (votes, np.arange(votes.shape[1])), 1)
     return counts.argmax(axis=0)
-
-
-def average_probs(member_probs: Sequence[np.ndarray],
-                  alphas: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Plain or weighted softmax averaging over precomputed member outputs."""
-    if not len(member_probs):
-        raise ValueError("no member predictions")
-    if alphas is None:
-        return np.mean(member_probs, axis=0)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if len(alphas) != len(member_probs):
-        raise ValueError("one alpha per member required")
-    weights = alphas / alphas.sum()
-    return np.tensordot(weights, np.stack(member_probs), axes=1)

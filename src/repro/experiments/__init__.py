@@ -16,10 +16,7 @@ from repro.experiments.variants import (
     run_edde_correlate_previous_model,
     run_edde_cumulative_weights,
 )
-from repro.experiments.replication import (
-    ReplicatedResult,
-    significantly_better,
-)
+from repro.experiments.replication import ReplicatedResult
 
 # run_replicated / compare_replicated moved up a layer: they are thin
 # grids now — import them from repro.experiments.grid.
@@ -40,5 +37,4 @@ __all__ = [
     "run_edde_cumulative_weights",
     "run_edde_correlate_previous_model",
     "ReplicatedResult",
-    "significantly_better",
 ]

@@ -12,10 +12,7 @@ grid`` CLI subcommand run through this package.
 from repro.experiments.grid.aggregate import (
     aggregate_records,
     find_group,
-    sample_std,
     significance_matrix,
-    standard_error,
-    z_screen,
 )
 from repro.experiments.grid.collectors import (
     record_fit_result,
@@ -56,6 +53,11 @@ from repro.experiments.grid.spec import (
     RunSpec,
     expand_runs,
     stable_digest,
+)
+from repro.experiments.replication import (
+    sample_std,
+    standard_error,
+    z_screen,
 )
 
 __all__ = [

@@ -4,11 +4,11 @@ Overload benches measure *performance* under stress; this harness checks
 *correctness* under compound failure.  Each run draws a
 :class:`~repro.serving.faults.ChaosSchedule` — arrival-rate storms, pump
 stalls, slow-member bursts, executor-task deaths — from one seeded RNG
-and replays it in virtual time through the same
-:func:`~repro.experiments.serve_overload.replay` mechanics the overload
-suite uses, with admission control and brownout armed.  A (config, seed)
-pair therefore names the entire run: every storm arrival, every shed,
-every breaker transition, bit for bit.
+and replays it in virtual time through
+:func:`~repro.experiments.serve_load.replay`, as the load harness and
+the overload suite do, with admission control and brownout armed.  A
+(config, seed) pair therefore names the entire run: every storm
+arrival, every shed, every breaker transition, bit for bit.
 
 What each replay asserts (the *invariants*, not point predictions):
 
@@ -50,13 +50,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.concurrency import LockOrderError, lock_order_mode
+from repro.experiments.serve_load import replay
 from repro.experiments.serve_overload import (
     OverloadConfig,
     _payloads,
     _pipeline,
     analytic_capacity,
     build_overload_service,
-    replay,
 )
 from repro.serving.faults import (
     BurstySlowMember,

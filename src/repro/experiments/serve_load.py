@@ -11,12 +11,15 @@ style but deterministic, against the concurrent pipeline
   pre-generated payloads.  Real wall-clock timing (``perf_counter``):
   this is where QPS and the p50/p95/p99 latency percentiles come from.
 * **Open loop** — a Poisson arrival replay on a
-  :class:`~repro.serving.faults.ManualClock`: arrivals are drawn from the
-  run's seeded RNG, the clock advances to each arrival, and the batcher
-  is pumped exactly when its window expires.  Nothing here depends on
-  host speed — same seed, same batch compositions, same simulated
-  queueing delays — so batching *policy* (batch-size distribution,
-  window-induced waiting) is a reproducible, testable quantity.
+  :class:`~repro.serving.faults.ManualClock` through :func:`replay`
+  (the overload suite and the chaos harness run it too): arrivals are
+  drawn from the run's seeded RNG, the clock advances to each arrival,
+  and each batch is pumped when its head's window expires, so no
+  simulated queueing delay exceeds ``max_wait_ms``.  Nothing here
+  depends on host speed — same seed, same batch compositions, same
+  simulated queueing delays — so batching *policy* (batch-size
+  distribution, window-induced waiting) is a reproducible, testable
+  quantity.
   Three arrival profiles (:func:`arrival_times`): ``open`` (homogeneous
   Poisson), ``ramp`` (rate sweeps ``rate`` → ``rate_end``; the overload
   bench's saturation finder) and ``burst`` (on/off duty cycle).
@@ -40,14 +43,15 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ensemble import Ensemble
 from repro.models.factory import ModelFactory
 from repro.models.mlp import MLP
+from repro.serving.errors import ServiceUnavailable
 from repro.serving.faults import ManualClock
 from repro.serving.service import InferenceService, ServiceConfig
 from repro.serving.transport import PipelineConfig, ServingPipeline
@@ -55,8 +59,10 @@ from repro.serving.transport import PipelineConfig, ServingPipeline
 __all__ = [
     "LoadConfig",
     "LoadResult",
+    "Replay",
     "arrival_times",
     "build_load_service",
+    "replay",
     "run_load_suite",
     "run_serve_load",
 ]
@@ -259,49 +265,15 @@ def _run_open_loop(config: LoadConfig, rng: np.random.Generator):
     """Poisson replay on a manual clock: deterministic batching policy."""
     clock = ManualClock()
     service = build_load_service(config, clock=clock)
-    pipeline = ServingPipeline(service, _pipeline_config(config))
-    pipeline.start(pump=False)   # manual pumping at exact window expiries
+    pipeline = ServingPipeline(
+        service, replace(_pipeline_config(config), workers=0))
+    pipeline.start(pump=False)   # replay pumps at exact window expiries
     arrivals = arrival_times(config, rng)
     payloads = _payloads(config, config.requests, rng)
-    window = config.max_wait_ms / 1000.0
-    delays: List[float] = []
-    batch_sizes: List[int] = []
-    tickets = []
-
-    def pump() -> None:
-        drained = pipeline.batcher.pump_once() if pipeline.batcher else 0
-        if drained:
-            batch_sizes.append(drained)
-
-    oldest: Optional[float] = None
-    for arrive, x in zip(arrivals, payloads):
-        # Pump every window expiry that precedes this arrival.
-        while oldest is not None and oldest + window <= arrive:
-            clock.now = oldest + window
-            pump()
-            oldest = None if pipeline.batcher is None or \
-                not pipeline.batcher.depth() else clock.now
-        clock.now = float(arrive)
-        ticket = pipeline.submit(x)
-        tickets.append((ticket, float(arrive)))
-        if ticket.done:              # batching off: answered inline
-            delays.append(0.0)
-        elif oldest is None:
-            oldest = float(arrive)
-        if pipeline.batcher is not None and \
-                pipeline.batcher.depth() * config.rows >= \
-                config.max_batch_rows:
-            pump()                   # prefix full: batch forms immediately
-            oldest = None
-    while pipeline.batcher is not None and pipeline.batcher.depth():
-        clock.advance(window)
-        pump()
-    if pipeline.batcher is not None:
-        for ticket, arrive in tickets:
-            delays.append(max(0.0, ticket.wait(timeout=1.0).latency))
+    record = replay(pipeline, clock, arrivals, payloads)
     pipeline.close()
-    sizes = np.asarray(batch_sizes or [1], dtype=np.float64)
-    delay_ms = np.asarray(delays, dtype=np.float64) * 1000.0
+    sizes = np.asarray(record.batches or [1], dtype=np.float64)
+    delay_ms = record.latencies() * 1000.0
     return {
         "profile": config.arrival,
         "simulated_seconds": float(arrivals[-1]),
@@ -313,6 +285,98 @@ def _run_open_loop(config: LoadConfig, rng: np.random.Generator):
             "max": float(delay_ms.max()),
         },
     }
+
+
+# ----------------------------------------------------------------------
+@dataclass
+class Replay:
+    """What one virtual-time replay did, ticket by ticket."""
+
+    #: (request index, arrival time, ticket) for every admitted request.
+    tickets: List[Tuple[int, float, object]] = field(default_factory=list)
+    #: (request index, arrival time, error code, retry_after) per shed.
+    shed: List[Tuple[int, float, str, Optional[float]]] = field(
+        default_factory=list)
+    #: Requests drained by each pumped batch, in pump order.
+    batches: List[int] = field(default_factory=list)
+
+    def completed(self):
+        return [(index, arrive, ticket.wait(0))
+                for index, arrive, ticket in self.tickets
+                if ticket.done and not ticket.failed]
+
+    def latencies(self) -> np.ndarray:
+        return np.asarray(
+            [prediction.latency for _, _, prediction in self.completed()],
+            dtype=np.float64)
+
+
+def replay(pipeline: ServingPipeline, clock: ManualClock,
+           arrivals: np.ndarray, payloads: List[np.ndarray],
+           unstall: Callable[[float], float] = lambda t: t) -> Replay:
+    """Drive arrivals through the pipeline in virtual time.
+
+    The open loop here, the overload suite and the chaos harness all
+    run it.  Single-server event mechanics: before each arrival, every
+    batch whose window has expired (its head was enqueued
+    ``max_wait_ms`` ago) or whose prefix is full is pumped at its due
+    instant — ``unstall`` may push a due time later (the chaos
+    harness's pump-stall windows).  With members that take no virtual
+    time, no request therefore waits longer than the window.
+    Serving may advance the clock (:class:`~repro.serving.faults.
+    SlowMember`-wrapped members), so a batch that runs past the next
+    arrival leaves the clock there: that arrival is then *back-stamped*
+    — submitted with the clock rewound to its true arrival time so its
+    ``enqueued`` stamp, and every sojourn computed from it, matches the
+    timeline — and the clock restored.
+
+    The pipeline must be built on ``clock`` with ``workers=0`` and
+    started with ``pump=False``.  Without batching every request is
+    answered at submit and nothing is pumped.
+    """
+    batcher = pipeline.batcher
+    window = pipeline.config.max_wait_ms / 1000.0
+    max_rows = pipeline.config.max_batch_rows
+    payload_rows = int(len(payloads[0]))
+    record = Replay()
+
+    def next_due() -> Optional[float]:
+        head = batcher.head_enqueued() if batcher is not None else None
+        if head is None:
+            return None
+        due = head + window
+        if batcher.depth() * payload_rows >= max_rows:
+            due = min(due, max(clock.now, head))   # prefix full: form now
+        return unstall(due)
+
+    def pump_at(due: float) -> int:
+        clock.now = max(clock.now, due)
+        drained = batcher.pump_once()
+        if drained:
+            record.batches.append(drained)
+        return drained
+
+    for index, (arrive, x) in enumerate(zip(arrivals, payloads)):
+        arrive = float(arrive)
+        while clock.now < arrive:
+            due = next_due()
+            if due is None or due > arrive:
+                break
+            pump_at(due)
+        resume = clock.now
+        clock.now = arrive
+        try:
+            record.tickets.append((index, arrive, pipeline.submit(x)))
+        except ServiceUnavailable as error:
+            record.shed.append((index, arrive,
+                                getattr(error, "code", "unavailable"),
+                                getattr(error, "retry_after", None)))
+        clock.now = max(resume, arrive)
+    while True:
+        due = next_due()
+        if due is None or not pump_at(due):
+            break                      # drained (or, defensively, stuck)
+    return record
 
 
 def run_serve_load(config: LoadConfig) -> LoadResult:

@@ -12,12 +12,13 @@ Everything runs in **virtual time** on a
   ``live members × member_seconds`` — a deterministic single-server
   queueing model in which brownout (fewer members per batch) genuinely
   raises capacity;
-* :func:`replay` drives Poisson arrivals through the pipeline with
-  textbook event-list mechanics: the clock jumps to each arrival, the
-  batcher is pumped at every window expiry / full-prefix instant that
-  precedes it, and a submission that lands while the server is mid-batch
-  is back-stamped to its true arrival time so sojourn-based admission
-  sees honest queue delays.
+* the load harness's :func:`~repro.experiments.serve_load.replay`
+  pushes Poisson arrivals through the pipeline
+  with textbook event-list mechanics: the clock jumps to each arrival,
+  the batcher is pumped at every window expiry / full-prefix instant
+  that precedes it, and a submission that lands while the server is
+  mid-batch is back-stamped to its true arrival time so sojourn-based
+  admission sees honest queue delays.
 
 Nothing depends on host speed: a (config, seed) pair names every batch
 composition, shed decision and brownout transition bit-for-bit.
@@ -46,17 +47,18 @@ The suite itself (:func:`run_overload_suite`):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ensemble import Ensemble
 from repro.experiments.serve_load import (
     LoadConfig,
+    Replay,
     arrival_times,
     build_load_service,
+    replay,
 )
-from repro.serving.errors import ServiceUnavailable
 from repro.serving.faults import ManualClock, SlowMember
 from repro.serving.pressure import PressureConfig
 from repro.serving.service import InferenceService
@@ -64,10 +66,8 @@ from repro.serving.transport import PipelineConfig, ServingPipeline
 
 __all__ = [
     "OverloadConfig",
-    "Replay",
     "build_overload_service",
     "measure_capacity",
-    "replay",
     "run_overload_cell",
     "run_overload_suite",
 ]
@@ -140,88 +140,6 @@ def analytic_capacity(config: OverloadConfig) -> float:
     per_batch = max(config.max_batch_rows // config.rows, 1)
     service_time = config.ensemble_size * config.member_seconds
     return per_batch / service_time
-
-
-# ----------------------------------------------------------------------
-@dataclass
-class Replay:
-    """What one virtual-time replay did, ticket by ticket."""
-
-    #: (request index, arrival time, ticket) for every admitted request.
-    tickets: List[Tuple[int, float, object]]
-    #: (request index, arrival time, error code, retry_after) per shed.
-    shed: List[Tuple[int, float, str, Optional[float]]]
-
-    def completed(self):
-        return [(index, arrive, ticket.wait(0))
-                for index, arrive, ticket in self.tickets
-                if ticket.done and not ticket.failed]
-
-    def latencies(self) -> np.ndarray:
-        return np.asarray(
-            [prediction.latency for _, _, prediction in self.completed()],
-            dtype=np.float64)
-
-
-def replay(pipeline: ServingPipeline, clock: ManualClock,
-           arrivals: np.ndarray, payloads: List[np.ndarray],
-           unstall: Callable[[float], float] = lambda t: t) -> Replay:
-    """Drive Poisson arrivals through the pipeline in virtual time.
-
-    Single-server event mechanics: before each arrival, every batch
-    whose window has expired (or whose prefix is full) is pumped at its
-    due instant — ``unstall`` may push a due time later (the chaos
-    harness's pump-stall windows).  Serving advances the clock (the
-    members are :class:`SlowMember`-wrapped), so a batch that runs past
-    the next arrival leaves the clock there: that arrival is then
-    *back-stamped* — submitted with the clock rewound to its true
-    arrival time so its ``enqueued`` stamp, and every sojourn computed
-    from it, matches the timeline — and the clock restored.
-
-    The pipeline must be built on ``clock`` with ``workers=0`` and
-    started with ``pump=False``.
-    """
-    batcher = pipeline.batcher
-    window = pipeline.config.max_wait_ms / 1000.0
-    max_rows = pipeline.config.max_batch_rows
-
-    def next_due() -> Optional[float]:
-        head = batcher.head_enqueued()
-        if head is None:
-            return None
-        due = head + window
-        if batcher.depth() * payload_rows >= max_rows:
-            due = min(due, max(clock.now, head))   # prefix full: form now
-        return unstall(due)
-
-    payload_rows = int(len(payloads[0]))
-    tickets: List[Tuple[int, float, object]] = []
-    shed: List[Tuple[int, float, str, Optional[float]]] = []
-    for index, (arrive, x) in enumerate(zip(arrivals, payloads)):
-        arrive = float(arrive)
-        while clock.now < arrive:
-            due = next_due()
-            if due is None or due > arrive:
-                break
-            clock.now = max(clock.now, due)
-            batcher.pump_once()
-        resume = clock.now
-        clock.now = arrive
-        try:
-            tickets.append((index, arrive, pipeline.submit(x)))
-        except ServiceUnavailable as error:
-            shed.append((index, arrive,
-                         getattr(error, "code", "unavailable"),
-                         getattr(error, "retry_after", None)))
-        clock.now = max(resume, arrive)
-    while True:
-        due = next_due()
-        if due is None:
-            break
-        clock.now = max(clock.now, due)
-        if not batcher.pump_once():
-            break                      # defensive: nothing drained
-    return Replay(tickets=tickets, shed=shed)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """The member-execution layer: ensemble members on a thread pool.
 
-The sequential reference loop in
-:meth:`~repro.serving.service.InferenceService.predict` evaluates the T
-members one after another, so serving cost scales T× with zero overlap.
-:class:`MemberExecutor` runs the same per-member protocol — breaker
-admission at start, :meth:`ServingMember.predict`, fault conversion —
-as one task per member on a shared :class:`ThreadPoolExecutor`.  The
-heavy kernels underneath (BLAS GEMMs, the conv im2col + GEMM pipeline)
-release the GIL, so members genuinely overlap on multicore hosts; on a
-single core the pool degenerates gracefully to interleaved execution.
+Serving cost scales T× when members run one after another.
+:class:`MemberExecutor` runs the per-member task of
+:mod:`repro.serving.members` — :func:`~repro.serving.members.run_member`:
+breaker admission at start, :meth:`ServingMember.predict`, fault
+conversion, the thread-death firewall — as one task per member on a
+shared :class:`ThreadPoolExecutor`.  The heavy kernels underneath (BLAS
+GEMMs, the conv im2col + GEMM pipeline) release the GIL, so members
+genuinely overlap on multicore hosts; on a single core the pool
+degenerates gracefully to interleaved execution.
 
-Execution semantics mirror the serial loop:
+Execution semantics match the serial loop
+(:func:`~repro.serving.members.run_members`):
 
 * breaker admission happens when the member's task *starts* (not at
   submit), so a member quarantined mid-batch by a concurrent fault is
@@ -25,16 +26,16 @@ Execution semantics mirror the serial loop:
   discarded, the thread finishes in the background, and its breaker is
   still charged by the member itself.
 
-``workers=0`` selects inline execution (no pool, no extra threads) —
-the same code path run sequentially, which keeps manual-clock tests
-deterministic.
+``workers=0`` runs :func:`~repro.serving.members.run_members` inline
+(no pool, no extra threads) — the loop
+:meth:`InferenceService.predict` runs too, which keeps manual-clock
+tests deterministic.
 
 Thread-safety contract: stateless apart from the pool; every call gets
 its roster snapshot from the caller, so hot swaps can never tear a
-running batch.  The optional ``cell`` argument wraps each member task in
-:func:`repro.ops.batching.batch_cell`, making stacked micro-batches
-bit-identical to solo execution (the context is thread-local, hence set
-inside the task, not around the pool).
+running batch.  The optional ``cell`` argument is handed to each member
+task, which evaluates under :func:`repro.ops.batching.batch_cell`,
+making stacked micro-batches bit-identical to solo execution.
 """
 
 from __future__ import annotations
@@ -42,50 +43,21 @@ from __future__ import annotations
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.concurrency import check_boundary
-from repro.ops.batching import batch_cell
-from repro.serving.errors import MemberFault
-from repro.serving.members import ServingMember
-from repro.serving.service import SKIP_DEADLINE, SKIP_FAULT, SKIP_QUARANTINED
+from repro.serving.members import (
+    SKIP_DEADLINE,
+    MemberOutputs,
+    MemberSkips,
+    ServingMember,
+    run_member,
+    run_members,
+)
 
 __all__ = ["MemberExecutor"]
-
-#: (member, probs) successes in roster order; (index, kind, reason) skips.
-MemberOutputs = List[Tuple[ServingMember, np.ndarray]]
-MemberSkips = List[Tuple[int, str, str]]
-
-
-def _run_member(member: ServingMember, x: np.ndarray, batch_size: int,
-                cell: Optional[int]) -> Tuple[str, object]:
-    """One member task: breaker admission, prediction, fault conversion.
-
-    The final ``BaseException`` arm is the thread-death firewall:
-    :meth:`ServingMember.predict` already converts every *model* failure
-    into a :class:`MemberFault`, so anything else escaping here is the
-    task itself dying (chaos-injected
-    :class:`~repro.serving.faults.InjectedThreadDeath`, a crashed C
-    extension, an interpreter-level error).  One member's dead task must
-    cost the request that member's vote, never the whole batch — so it
-    becomes an ordinary fault skip, charged to the member's breaker like
-    any other.
-    """
-    if not member.breaker.allow():
-        return (SKIP_QUARANTINED, member.breaker.describe())
-    try:
-        if cell is not None:
-            with batch_cell(cell):
-                return ("ok", member.predict(x, batch_size=batch_size))
-        return ("ok", member.predict(x, batch_size=batch_size))
-    except MemberFault as fault:
-        return (SKIP_FAULT, fault.reason)
-    except BaseException as death:  # noqa: BLE001 — see docstring
-        reason = f"member task died: {type(death).__name__}: {death}"
-        member.breaker.record_fault(reason)
-        return (SKIP_FAULT, reason)
 
 
 class MemberExecutor:
@@ -127,9 +99,9 @@ class MemberExecutor:
         # once member tasks take breaker locks of their own).
         check_boundary("MemberExecutor.run")
         if self._pool is None:
-            return self._run_inline(members, x, batch_size, deadline,
-                                    started, cell)
-        futures = [self._pool.submit(_run_member, member, x, batch_size,
+            return run_members(members, x, batch_size, self.clock, started,
+                               deadline, cell)
+        futures = [self._pool.submit(run_member, member, x, batch_size,
                                      cell)
                    for member in members]
         outputs: MemberOutputs = []
@@ -163,29 +135,6 @@ class MemberExecutor:
                                 f"did not finish within the {deadline:g}s "
                                 "deadline"))
                 continue
-            if kind == "ok":
-                outputs.append((member, value))
-            else:
-                skipped.append((member.index, kind, value))
-        return outputs, skipped, deadline_hit
-
-    def _run_inline(self, members: Sequence[ServingMember], x: np.ndarray,
-                    batch_size: int, deadline: Optional[float],
-                    started: float, cell: Optional[int],
-                    ) -> Tuple[MemberOutputs, MemberSkips, bool]:
-        """``workers=0``: the serial loop, deterministic under any clock."""
-        outputs: MemberOutputs = []
-        skipped: MemberSkips = []
-        deadline_hit = False
-        for member in members:
-            if deadline is not None and \
-                    self.clock() - started >= deadline:
-                deadline_hit = True
-                skipped.append((member.index, SKIP_DEADLINE,
-                                f"not started within the {deadline:g}s "
-                                "deadline"))
-                continue
-            kind, value = _run_member(member, x, batch_size, cell)
             if kind == "ok":
                 outputs.append((member, value))
             else:

@@ -26,21 +26,21 @@ semantics:
   machine: live/quarantined/dropped members with reasons, effective α
   mass, request/fault counters, readiness against the quorum.
 
-Aggregation is arithmetic-identical to
-:meth:`repro.core.ensemble.Ensemble.predict_probs` over the completed
-members — same weight normalisation, same accumulation order — so a
-degraded answer is *bit-identical* to what a freshly built ensemble of
-the surviving members would produce.  Tests assert exactly that.
+Aggregation calls :func:`repro.core.ensemble.alpha_vote` — the function
+behind :meth:`repro.core.ensemble.Ensemble.predict_probs` — over the
+completed members, so a degraded answer is *bit-identical* to what a
+freshly built ensemble of the surviving members would produce.  Tests
+assert exactly that.
 
-Since the concurrent-pipeline split this module is the *policy* core of
-the serving stack: validation, roster bookkeeping, the α aggregation
-arithmetic and the health surface.  The mechanics of running members on
-a thread pool live in :mod:`repro.serving.executor`, request coalescing
-in :mod:`repro.serving.scheduler`, and the async ``submit/poll/result``
+This module is the *policy* core of the serving stack: validation,
+roster bookkeeping, aggregation and the health surface.  Running the
+members is :func:`repro.serving.members.run_members` (the serial loop
+:meth:`predict` uses); running them on a thread pool lives in
+:mod:`repro.serving.executor`, request coalescing in
+:mod:`repro.serving.scheduler`, and the async ``submit/poll/result``
 front door in :mod:`repro.serving.transport` — all of which reuse
 :meth:`InferenceService.roster_snapshot` / :meth:`InferenceService.finish`
 so every path shares one aggregation (and one set of counters).
-:meth:`predict` itself stays the sequential reference implementation.
 
 Thread-safety contract: roster mutation (``replace_member``) and roster
 reads (``predict``/``health``/``roster_snapshot``) synchronise on the
@@ -67,21 +67,12 @@ from repro.core.serialization import (
     load_ensemble,
 )
 from repro.concurrency import tracked_lock
-from repro.core.ensemble import Ensemble
+from repro.core.ensemble import Ensemble, alpha_vote
 from repro.models.factory import ModelFactory
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.errors import (
-    InvalidRequest,
-    MemberFault,
-    ServiceUnavailable,
-)
-from repro.serving.members import ServingMember
+from repro.serving.errors import InvalidRequest, ServiceUnavailable
+from repro.serving.members import ServingMember, run_members
 from repro.serving.validation import InputSpec
-
-#: Why a member did not contribute to one prediction.
-SKIP_QUARANTINED = "quarantined"
-SKIP_FAULT = "fault"
-SKIP_DEADLINE = "deadline"
 
 
 @dataclass
@@ -248,10 +239,11 @@ class InferenceService:
         """Answer one request, degrading over member faults and deadlines.
 
         ``deadline`` is a wall-clock budget in seconds.  Members are
-        evaluated sequentially; a member is only *started* while budget
-        remains, and the answer is the α-weighted average over the
-        members that completed — the same arithmetic as
-        :meth:`Ensemble.predict_probs` restricted to those members.
+        evaluated sequentially by :func:`~repro.serving.members.
+        run_members`; a member is only *started* while budget remains,
+        and the answer is the α-weighted average over the members that
+        completed — :func:`~repro.core.ensemble.alpha_vote`, as in
+        :meth:`Ensemble.predict_probs`, restricted to those members.
 
         Raises :class:`InvalidRequest` for malformed payloads and
         :class:`ServiceUnavailable` when not a single member produced a
@@ -266,27 +258,9 @@ class InferenceService:
         # Snapshot the roster and its configured α mass as one consistent
         # pair; a concurrent replace_member cannot tear this request.
         members, alpha_configured = self.roster_snapshot()
-        outputs: List[Tuple[ServingMember, np.ndarray]] = []
-        skipped: List[Tuple[int, str, str]] = []
-        deadline_hit = False
-        for member in members:
-            if deadline is not None and \
-                    self.clock() - started >= deadline:
-                deadline_hit = True
-                skipped.append((member.index, SKIP_DEADLINE,
-                                f"not started within the {deadline:g}s "
-                                "deadline"))
-                continue
-            if not member.breaker.allow():
-                skipped.append((member.index, SKIP_QUARANTINED,
-                                member.breaker.describe()))
-                continue
-            try:
-                probs = member.predict(x, batch_size=self.config.batch_size)
-            except MemberFault as fault:
-                skipped.append((member.index, SKIP_FAULT, fault.reason))
-                continue
-            outputs.append((member, probs))
+        outputs, skipped, deadline_hit = run_members(
+            members, x, self.config.batch_size, self.clock, started,
+            deadline)
         return self.finish(outputs, skipped, alpha_configured,
                            deadline_hit=deadline_hit,
                            latency=self.clock() - started)
@@ -309,12 +283,12 @@ class InferenceService:
                latency: float, brownout_level: int = 0) -> ServedPrediction:
         """Aggregate completed member outputs into one answer.
 
-        The single place the Eq. 16 arithmetic lives: bit-identical to
-        :meth:`Ensemble.predict_probs` over the completed members — same
-        normalisation, same accumulation order — whichever execution
-        path (serial loop, thread pool, micro-batch) produced them.
-        ``outputs`` must be in roster order.  Raises
-        :class:`ServiceUnavailable` (and counts it) when empty.
+        Eq. 16 via :func:`~repro.core.ensemble.alpha_vote`, so the answer
+        is bit-identical to :meth:`Ensemble.predict_probs` over the
+        completed members whichever execution path (serial loop, thread
+        pool, micro-batch) produced them.  ``outputs`` must be in roster
+        order.  Raises :class:`ServiceUnavailable` (and counts it) when
+        empty.
         """
         if not outputs:
             self.count_unavailable()
@@ -323,10 +297,7 @@ class InferenceService:
             raise ServiceUnavailable(f"no member produced an answer "
                                      f"({reasons})")
         alphas = np.asarray([member.alpha for member, _ in outputs])
-        weights = alphas / alphas.sum()
-        combined = np.zeros_like(outputs[0][1])
-        for weight, (_, probs) in zip(weights, outputs):
-            combined += weight * probs
+        combined = alpha_vote(alphas, [probs for _, probs in outputs])
         with self._stats_lock:
             self._served += 1
         mass = 1.0 if alpha_configured <= 0 else \

@@ -104,9 +104,6 @@ class PipelineConfig:
     ``batching=False`` degrades the pipeline to per-request execution
     (still through the member executor) — the load harness's baseline.
     ``workers=0`` runs members inline instead of on a pool.
-    ``batch_invariant=False`` drops the blocked-GEMM guarantee (answers
-    may differ from solo in the last ulp; marginally faster) — kept as
-    an escape hatch and for measuring the cost of the guarantee.
 
     ``target_delay_ms`` enables CoDel-style admission control on the
     batcher queue (``None`` disables — the PR 8 behaviour);
@@ -120,7 +117,6 @@ class PipelineConfig:
     queue_depth: int = 256
     workers: Optional[int] = None      # None: pool default; 0: inline
     batching: bool = True
-    batch_invariant: bool = True
     target_delay_ms: Optional[float] = None
     interval_ms: float = 100.0
     brownout: bool = False
@@ -365,8 +361,7 @@ class ServingPipeline:
                 # One chunk: chunking at config.batch_size could split
                 # the stack mid-request and change the GEMM geometry.
                 batch_size=len(stacked),
-                cell=rows if self.config.batch_invariant and
-                len(batch) > 1 else None)
+                cell=rows if len(batch) > 1 else None)
         except BaseException as error:  # noqa: BLE001 — routed to waiters
             for pending in batch:
                 self._fail_ticket(pending.ticket, error)

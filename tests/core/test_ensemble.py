@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ensemble import Ensemble, average_probs, majority_vote
+from repro.core.ensemble import Ensemble, alpha_vote, majority_vote
 from repro.models import MLP
 
 RNG = np.random.default_rng(10)
@@ -146,23 +146,21 @@ class TestCombiners:
         votes = majority_vote([a, b, c])
         np.testing.assert_array_equal(votes, [0, 1])
 
-    def test_average_probs_uniform(self):
+    @pytest.mark.parametrize("alphas, expected", [
+        ([1.0, 1.0], [[0.5, 0.5]]),
+        ([3.0, 1.0], [[0.75, 0.25]]),
+    ], ids=["uniform", "weighted"])
+    def test_alpha_vote(self, alphas, expected):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        np.testing.assert_allclose(average_probs([a, b]), [[0.5, 0.5]])
-
-    def test_average_probs_weighted(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        np.testing.assert_allclose(average_probs([a, b], alphas=[3.0, 1.0]),
-                                   [[0.75, 0.25]])
+        np.testing.assert_allclose(alpha_vote(alphas, [a, b]), expected)
 
     def test_empty_inputs_raise(self):
         with pytest.raises(ValueError):
             majority_vote([])
         with pytest.raises(ValueError):
-            average_probs([])
+            alpha_vote([], [])
 
     def test_alpha_mismatch(self):
         with pytest.raises(ValueError):
-            average_probs([np.ones((1, 2))], alphas=[1.0, 2.0])
+            alpha_vote([1.0, 2.0], [np.ones((1, 2))])

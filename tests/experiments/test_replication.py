@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.experiments import ReplicatedResult, significantly_better
+from repro.experiments import ReplicatedResult
 from repro.experiments.grid import compare_replicated, run_replicated
 from repro.experiments.protocol import Scenario
+from repro.experiments.replication import z_screen
 
 
 @pytest.fixture
@@ -49,14 +50,18 @@ class TestStd:
         assert ReplicatedResult("m", accuracies=[0.8]).std == 0.0
 
 
+def better(a: ReplicatedResult, b: ReplicatedResult) -> bool:
+    return z_screen(a.mean, a.stderr, b.mean, b.stderr)
+
+
 class TestSignificance:
     def test_clear_separation(self):
         a = ReplicatedResult("a", accuracies=[0.9, 0.91, 0.89])
         b = ReplicatedResult("b", accuracies=[0.5, 0.52, 0.48])
-        assert significantly_better(a, b)
-        assert not significantly_better(b, a)
+        assert better(a, b)
+        assert not better(b, a)
 
     def test_overlapping_not_significant(self):
         a = ReplicatedResult("a", accuracies=[0.70, 0.80])
         b = ReplicatedResult("b", accuracies=[0.72, 0.78])
-        assert not significantly_better(a, b)
+        assert not better(a, b)

@@ -17,12 +17,12 @@ from repro.experiments.serve_chaos import (
     run_chaos_schedule,
     run_chaos_suite,
 )
+from repro.experiments.serve_load import replay
 from repro.experiments.serve_overload import (
     OverloadConfig,
     _payloads,
     _pipeline,
     build_overload_service,
-    replay,
 )
 from repro.serving.executor import MemberExecutor
 from repro.serving.faults import (
@@ -122,14 +122,33 @@ class TestThreadDeathFirewall:
     """A dying member task becomes a skip + breaker charge, never an
     unresolved ticket or a torn answer."""
 
-    def test_executor_converts_death_to_fault_skip(self, factory):
+    @staticmethod
+    def _inline(service, x):
+        outputs, skipped, _ = MemberExecutor(workers=0).run(
+            service.members, x, batch_size=4)
+        return [member.index for member, _ in outputs], skipped
+
+    @staticmethod
+    def _pool(service, x):
+        with MemberExecutor(workers=2) as executor:
+            outputs, skipped, _ = executor.run(service.members, x,
+                                               batch_size=4)
+        return [member.index for member, _ in outputs], skipped
+
+    @staticmethod
+    def _predict(service, x):
+        prediction = service.predict(x)
+        return prediction.members_used, prediction.members_skipped
+
+    @pytest.mark.parametrize("path", ["inline", "pool", "predict"])
+    def test_executor_converts_death_to_fault_skip(self, factory, path):
+        """Every path that runs members fails the same way on a death."""
         service, _ = make_service(factory, members=3)
         service.members[0].model = DyingMember(
             service.members[0].model, on_calls=range(10))
-        executor = MemberExecutor(workers=0)
         x = RNG.normal(size=(4, 4)).astype(np.float32)
-        outputs, skipped, _ = executor.run(service.members, x, batch_size=4)
-        assert [member.index for member, _ in outputs] == [1, 2]
+        used, skipped = getattr(self, f"_{path}")(service, x)
+        assert used == [1, 2]
         assert len(skipped) == 1
         index, kind, reason = skipped[0]
         assert index == 0 and kind == "fault"

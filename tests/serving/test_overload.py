@@ -13,7 +13,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.experiments.serve_load import LoadConfig, arrival_times
+from repro.experiments.serve_load import (
+    LoadConfig,
+    arrival_times,
+    run_serve_load,
+)
 from repro.experiments.serve_overload import (
     OverloadConfig,
     analytic_capacity,
@@ -435,6 +439,22 @@ class TestArrivalProfiles:
             LoadConfig(arrival="burst", burst_period_s=0.0)
         with pytest.raises(ValueError):
             LoadConfig(arrival="warble")
+
+
+class TestOpenLoopReplay:
+    """The load harness's open loop, replayed in virtual time."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("arrival", ["open", "ramp", "burst"])
+    def test_queueing_delay_never_exceeds_the_window(self, arrival, seed):
+        config = LoadConfig(arrival=arrival, seed=seed, requests=96,
+                            rate_end=6000.0 if arrival == "ramp" else None,
+                            ensemble_size=2, clients=2, warmup=0,
+                            probe_requests=2)
+        open_loop = run_serve_load(config).open_loop
+        assert open_loop["batch_size_max"] > 1
+        assert open_loop["queueing_delay_ms"]["max"] <= \
+            config.max_wait_ms * (1 + 1e-9)
 
 
 class TestOverloadHarness:

@@ -1,11 +1,9 @@
-"""RNG plumbing, timer, and run logging."""
-
-import time
+"""RNG plumbing and run logging."""
 
 import numpy as np
 import pytest
 
-from repro.utils import RunLogger, Timer, new_rng, seed_everything, spawn_rng
+from repro.utils import RunLogger, new_rng, seed_everything, spawn_rng
 
 
 class TestRng:
@@ -42,24 +40,6 @@ class TestRng:
         legacy_b = np.random.rand()
         assert legacy_a == legacy_b
         assert isinstance(rng, np.random.Generator)
-
-
-class TestTimer:
-    def test_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        first = timer.elapsed
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed > first >= 0.01
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
 
 
 class TestRunLogger:
