@@ -21,8 +21,8 @@ Three rules share one model:
   helpers) or ``unshared`` (single-thread factories).  Classes guarded
   by *another* object's lock (``external_lock``) confine writes to
   their declared caller-locked methods.  Registered thread-local
-  modules (``ops.workspace``, ``ops.batching``) may not grow shared
-  module-level mutable state or ``global`` rebindings.
+  modules (``ops.workspace``, ``ops.batching``, ``ops.profiler``) may
+  not grow shared module-level mutable state or ``global`` rebindings.
 
 * **RL007 lock-ordering** — rebuilds the static lock-acquisition graph
   from the AST: an edge ``A -> B`` means some code acquires lock ``B``
@@ -146,6 +146,7 @@ GUARDED_CLASSES: Dict[Tuple[str, str], ClassGuard] = {
 THREAD_LOCAL_MODULES: Dict[str, FrozenSet[str]] = {
     "repro.ops.workspace": frozenset({"_local"}),
     "repro.ops.batching": frozenset({"_state"}),
+    "repro.ops.profiler": frozenset({"_state"}),
 }
 
 #: Method names whose call mutates the object they are called on.

@@ -1,12 +1,33 @@
 """Convolution and pooling kernels with pooled im2col workspaces.
 
-The convolutions own their zero padding: the forward copies the input
-into a zero-bordered buffer before unfolding it, and the backward slices
-the interior out of the folded gradient, so a padded convolution is one
+The convolutions own their zero padding, so a padded convolution is one
 dispatch and one graph node.  The im2col patch matrix — the hottest
 allocation in training — is checked out of :mod:`repro.ops.workspace`
 and recorded in ``ctx.workspaces``; the tensor dispatcher returns it to
 the pool after backward (or immediately when untaped).
+
+``conv2d`` fills its (N, C, KH, KW, OH, OW) patch buffer one of two
+ways, chosen from the op's own stride, kernel and padding:
+
+* **Shifted runs** (:func:`_im2col_same`), when ``stride == 1`` and
+  ``kh == kw == 2 * padding + 1`` — the same-padded convs of ResNet and
+  DenseNet (3×3 with padding 1, 1×1 with padding 0).  The output then has
+  the input's width, so tap ``(i, j)`` is the flattened H·W image
+  shifted by ``(i - p)·W + (j - p)``, with the columns that wrap across
+  a row edge reading zero.  Each image is copied once into a run with
+  ``p·W + p`` zeros at both ends; the k taps of each column ``j`` are
+  then one copy of N·C·k contiguous H·W runs, made while the columns
+  that column's reads wrap onto are zeroed (and restored after).
+* **Strided slices** (:func:`_im2col_pooled` on a :func:`_pad` copy),
+  for everything else (strided convs, other paddings) and for
+  ``conv1d``: each tap copies N·C·OH rows of OW values out of a
+  zero-bordered buffer.
+
+Both copy the same values into the same places and write ``+0.0``
+(what ``np.zeros`` gives) wherever the window hangs over the border, so
+the patch matrix is byte for byte the same; the GEMM, ``ctx`` and the
+backward do not know which path ran.  The backward folds the patch
+gradient over the padded shape and slices the interior out.
 """
 
 from __future__ import annotations
@@ -56,6 +77,43 @@ def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
     return buffer.reshape(n, c * kh * kw, out_h * out_w), buffer
 
 
+def _im2col_same(x: np.ndarray, k: int):
+    """Unfold (N, C, H, W) for a stride-1 k×k conv padded by ``k // 2``.
+
+    The result equals ``_im2col_pooled(_pad(x, k // 2), k, k, 1)`` bit
+    for bit, without the padded copy: every tap is one shifted copy of
+    the flattened images (see the module docstring).
+    """
+    n, c, h, w = x.shape
+    p = k // 2
+    hw = h * w
+    edge = p * w + p
+    buffer = workspace.acquire((n, c, k, k, h, w), x.dtype)
+    taps = buffer.reshape(n * c, k, k, hw)
+    images = x.reshape(n * c, h, w)
+    flat = images.reshape(n * c, hw)
+    if edge:
+        flat = np.zeros((n * c, hw + 2 * edge), dtype=x.dtype)
+        flat[:, edge:edge + hw] = images.reshape(n * c, hw)
+    rows = flat[:, edge:edge + hw].reshape(n * c, h, w)
+    row_stride, step = flat.strides
+    for j in range(k):
+        # Tap column j reads |j - p| columns past a row's edge: the
+        # columns those reads wrap onto are zero while its taps copy.
+        wrap = slice(max(w - (p - j), 0), None) if j < p \
+            else slice(0, j - p)
+        if j != p:
+            rows[:, :, wrap] = 0
+        # Taps (0..k-1, j) start at j, j + W, ..., j + (k - 1)·W, so they
+        # are one strided view; as j <= 2p its last read, at
+        # j + (k - 1)·W + H·W - 1, stays inside the H·W + 2·edge run.
+        taps[:, :, j] = np.lib.stride_tricks.as_strided(
+            flat[:, j:], (n * c, k, hw), (row_stride, w * step, step))
+        if j != p:
+            rows[:, :, wrap] = images[:, :, wrap]
+    return buffer.reshape(n, c * k * k, hw), buffer
+
+
 def _col2im(cols, x_shape, kh, kw, stride):
     """Fold patch columns back onto the input, summing overlaps.
 
@@ -82,13 +140,16 @@ def _col2im(cols, x_shape, kh, kw, stride):
 
 def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
     bias = rest[0] if rest else None
-    x = _pad(x, padding)
-    n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
+    if stride == 1 and kh == kw == 2 * padding + 1:
+        cols, buffer = _im2col_same(x, kh)             # (N, C*KH*KW, L)
+    else:
+        cols, buffer = _im2col_pooled(_pad(x, padding), kh, kw, stride)
+    n, c, h, w = x.shape
+    h, w = h + 2 * padding, w + 2 * padding            # the padded shape
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
 
-    cols, buffer = _im2col_pooled(x, kh, kw, stride)   # (N, C*KH*KW, L)
     w_mat = weight.reshape(f, -1)                      # (F, C*KH*KW)
     out = w_mat @ cols                                 # (N, F, L) via BLAS
     if bias is not None:

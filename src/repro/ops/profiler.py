@@ -1,8 +1,9 @@
 """Per-op wall-clock and allocation accounting.
 
 Activate with the :func:`profile_ops` context manager; while active, the
-tensor dispatcher reports every registry forward/backward call here.  The
-overhead when inactive is a single ``is None`` check per op call.
+tensor dispatcher reports every registry forward/backward call made on
+the same thread here.  The overhead when inactive is a single ``is None``
+check per op call.
 
 Example
 -------
@@ -17,6 +18,7 @@ Example
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Dict, Optional
 
 
@@ -83,23 +85,32 @@ class OpProfiler:
         return "\n".join(lines)
 
 
-# The dispatcher reads this module global on every op call; ``None`` means
-# profiling is off and costs one attribute load + identity check.
-_current: Optional[OpProfiler] = None
+class _State(threading.local):
+    """Thread-local, like ``no_grad``: a profile sees only its own
+    thread's ops, so executor threads neither leak into it nor race on
+    its counters.  The class default makes an unset thread read ``None``
+    without the cost of a failed attribute lookup."""
+
+    profiler: Optional[OpProfiler] = None
+
+
+# The dispatcher reads ``_state.profiler`` on every op call; ``None``
+# means profiling is off and costs two attribute loads + identity check.
+_state = _State()
 
 
 def current_profiler() -> Optional[OpProfiler]:
-    return _current
+    """The profiler collecting this thread's op calls, if any."""
+    return _state.profiler
 
 
 @contextlib.contextmanager
 def profile_ops():
-    """Context manager that collects per-op stats from the dispatcher."""
-    global _current
-    previous = _current
+    """Collect per-op stats from this thread's dispatches."""
+    previous = current_profiler()
     profiler = OpProfiler()
-    _current = profiler
+    _state.profiler = profiler
     try:
         yield profiler
     finally:
-        _current = previous
+        _state.profiler = previous

@@ -6,8 +6,9 @@ in keep their dtype.  The default is float32 — the dtype the paper's
 Keras/TensorFlow models train in — and can be overridden:
 
 * process-wide via the ``REPRO_DTYPE`` environment variable,
-* programmatically via :func:`set_default_dtype`,
-* locally via the :func:`dtype_scope` context manager.
+* process-wide, programmatically, via :func:`set_default_dtype`,
+* for one thread within a block via the :func:`dtype_scope` context
+  manager, which overrides the process default on that thread only.
 
 The test-suite pins float64 (see ``tests/conftest.py``) so golden-run
 fingerprints stay stable and finite-difference gradient checks remain
@@ -18,12 +19,21 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 
 import numpy as np
 
 _DEFAULT: np.dtype = np.dtype(os.environ.get("REPRO_DTYPE", "float32"))
 if _DEFAULT.kind != "f":
     raise ValueError(f"REPRO_DTYPE must name a float dtype, got {_DEFAULT}")
+
+class _State(threading.local):
+    # A dtype_scope override for the current thread; None means _DEFAULT.
+    # A class default, so an unset thread reads it without a failed lookup.
+    dtype = None
+
+
+_state = _State()
 
 # Real numeric kinds a Tensor may hold: float, int, unsigned int, bool.
 # Everything else (object, str, bytes, void, complex, datetime) fails a
@@ -49,25 +59,38 @@ def check_valid_dtype(dtype, context: str = "Tensor data") -> np.dtype:
 
 def default_dtype() -> np.dtype:
     """The dtype used when the library materialises new float arrays."""
-    return _DEFAULT
+    scoped = _state.dtype
+    return _DEFAULT if scoped is None else scoped
 
 
-def set_default_dtype(dtype) -> np.dtype:
-    """Set the process-wide default float dtype; returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
+def _float_dtype(dtype) -> np.dtype:
     resolved = np.dtype(dtype)
     if resolved.kind != "f":
         raise ValueError(f"default dtype must be a float dtype, got {resolved}")
-    _DEFAULT = resolved
+    return resolved
+
+
+def set_default_dtype(dtype) -> np.dtype:
+    """Set the process-wide default float dtype; returns the previous one.
+
+    A :func:`dtype_scope` open on the calling thread still wins there.
+    """
+    global _DEFAULT
+    previous = _DEFAULT
+    _DEFAULT = _float_dtype(dtype)
     return previous
 
 
 @contextlib.contextmanager
 def dtype_scope(dtype):
-    """Temporarily switch the default float dtype within a block."""
-    previous = set_default_dtype(dtype)
+    """Switch the default float dtype for this thread within a block.
+
+    Thread-local, like ``no_grad``: other threads — a concurrent serving
+    pipeline's workers included — keep the process default.
+    """
+    previous = _state.dtype
+    _state.dtype = _float_dtype(dtype)
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _state.dtype = previous

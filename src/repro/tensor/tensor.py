@@ -109,7 +109,7 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
     ctx.needs = tuple(t.requires_grad for t in inputs)
     arrays = tuple(t.data for t in inputs)
 
-    prof = _profiler._current
+    prof = _profiler._state.profiler
     if prof is None:
         data = op.forward(ctx, *arrays, **params)
     else:
@@ -275,7 +275,7 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        prof = _profiler._current
+        prof = _profiler._state.profiler
         sanitizing = _sanitize.sanitize_enabled()
         for node in reversed(order):
             ctx = node._ctx

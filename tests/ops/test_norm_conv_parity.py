@@ -1,11 +1,13 @@
 """The ``batch_norm`` op and the conv kernels: bitwise parity, then grads.
 
 ``batch_norm`` replaces a composed chain of primitive ops, the conv
-kernels took over the zero padding a separate pad op used to do, and
-``_col2im`` folds in an (H, W, N, C) layout.  Each claims to repeat the
-old float operations in the old order, so — as for the fused losses —
-these tests compare exact bits against the code they replaced (kept here
-only as references), then gradcheck the new paths in float64.
+kernels took over the zero padding a separate pad op used to do,
+``_col2im`` folds in an (H, W, N, C) layout, and stride-1 same-padded
+convs unfold by shifted flat copies instead of padding first.  Each
+claims to repeat the old float operations in the old order, so — as for
+the fused losses — these tests compare exact bits against the code they
+replaced (kept here or in ``repro.ops.conv`` as references), then
+gradcheck the new paths in float64.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
+from repro.ops import conv as conv_ops
 from repro.ops.conv import _col2im, _conv_output_size
 from repro.tensor import Tensor, apply, dtype_scope, gradcheck
 from repro.tensor.ops import concatenate
@@ -188,8 +191,18 @@ def _pad(data, padding):
 @pytest.mark.parametrize("conv,x_shape,w_shape", [
     (F.conv2d, (8, 3, 6, 6), (4, 3, 3, 3)),
     (F.conv1d, (8, 3, 9), (4, 3, 3)),
-], ids=["conv2d", "conv1d"])
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 2)])
+    # the train-resnet fit's stride-1 convs, and an eval-sized batch
+    (F.conv2d, (32, 3, 10, 10), (8, 3, 3, 3)),
+    (F.conv2d, (32, 8, 10, 10), (8, 8, 3, 3)),
+    (F.conv2d, (32, 16, 5, 5), (16, 16, 3, 3)),
+    (F.conv2d, (32, 32, 3, 3), (32, 32, 3, 3)),
+    (F.conv2d, (256, 8, 10, 10), (8, 8, 3, 3)),
+    (F.conv2d, (4, 6, 5, 5), (3, 6, 1, 1)),
+    (F.conv2d, (4, 3, 6, 6), (4, 3, 5, 5)),
+    (F.conv2d, (3, 2, 7, 6), (4, 2, 3, 3)),
+], ids=["conv2d", "conv1d", "3to8x10x10", "8x10x10", "16x5x5", "32x3x3",
+        "eval256x8x10x10", "1x1", "5x5", "nonsquare"])
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 2), (1, 0)])
 def test_padded_conv_matches_np_pad(conv, x_shape, w_shape, stride, padding,
                                     dtype):
     """Padding inside the kernel == ``np.pad`` first, forward and backward."""
@@ -206,7 +219,80 @@ def test_padded_conv_matches_np_pad(conv, x_shape, w_shape, stride, padding,
     out, x_grad, w_grad = run(padding, x_data.copy())
     ref_out, ref_x_grad, ref_w_grad = run(0, _pad(x_data, padding))
     interior = (slice(None), slice(None)) + \
-        (slice(padding, -padding),) * (len(x_shape) - 2)
+        (slice(padding, -padding or None),) * (len(x_shape) - 2)
     assert np.array_equal(out, ref_out)
     assert np.array_equal(x_grad, ref_x_grad[interior])
     assert np.array_equal(w_grad, ref_w_grad)
+
+
+def _same_bits(a, b):
+    """Equal values, nan where nan, and the same sign bit everywhere."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _padded_slices(x, k):
+    """The strided-slice unfold of a ``_pad`` copy: the reference."""
+    return conv_ops._im2col_pooled(conv_ops._pad(x, k // 2), k, k, 1)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
+@pytest.mark.parametrize("x_shape,k", [
+    ((32, 8, 10, 10), 3),
+    ((3, 2, 7, 6), 3),
+    ((4, 3, 6, 5), 1),
+    ((3, 2, 7, 6), 5),
+    ((2, 3, 3, 2), 7),            # the window is wider than the image
+], ids=["k3", "k3-nonsquare", "k1", "k5", "k7-wide"])
+def test_shifted_unfold_matches_padded_slices(x_shape, k, dtype,
+                                              monkeypatch):
+    """The flat shifted-copy unfold == ``_pad`` + strided slices, bit for
+    bit — signed zeros, infinities and nans included — and so are the
+    conv's forward and both gradients."""
+    x_data = RNG.normal(size=x_shape).astype(dtype)
+    flat = x_data.reshape(-1)
+    picks = RNG.choice(flat.size, size=flat.size // 3, replace=False)
+    flat[picks] = RNG.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                             size=picks.size)
+    w_data = RNG.normal(size=(4, x_shape[1], k, k)).astype(dtype)
+    upstream = RNG.normal(size=(x_shape[0], 4) + x_shape[2:]).astype(dtype)
+
+    got, _ = conv_ops._im2col_same(x_data, k)
+    want, _ = _padded_slices(x_data, k)
+    assert _same_bits(got, want)
+
+    def run():
+        x = Tensor(x_data.copy(), requires_grad=True)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        out = F.conv2d(x, w, stride=1, padding=k // 2)
+        out.backward(upstream)
+        return out.data, x.grad, w.grad
+
+    with np.errstate(invalid="ignore"):       # inf - inf in the GEMMs
+        shifted = run()
+        monkeypatch.setattr(conv_ops, "_im2col_same", _padded_slices)
+        reference = run()
+    for name, a, b in zip(["output", "x grad", "w grad"], shifted,
+                          reference):
+        assert _same_bits(a, b), name
+
+
+@pytest.mark.parametrize("kernel,stride,padding,shifted", [
+    (3, 1, 1, True), (1, 1, 0, True), (5, 1, 2, True),
+    (3, 2, 1, False), (1, 2, 0, False), (3, 1, 0, False), (3, 1, 2, False),
+    (1, 1, 1, False),
+])
+def test_unfold_choice_follows_stride_kernel_padding(kernel, stride, padding,
+                                                     shifted, monkeypatch):
+    calls = []
+
+    def spy(x, k):
+        calls.append(k)
+        return _padded_slices(x, k)
+
+    monkeypatch.setattr(conv_ops, "_im2col_same", spy)
+    F.conv2d(Tensor(RNG.normal(size=(2, 3, 6, 6))),
+             Tensor(RNG.normal(size=(4, 3, kernel, kernel))),
+             stride=stride, padding=padding)
+    assert calls == ([kernel] if shifted else [])

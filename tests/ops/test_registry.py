@@ -1,8 +1,11 @@
 """The op registry, the per-op profiler, and the dispatcher contract."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
 from repro.ops import (
     get_op,
     profile_ops,
@@ -94,6 +97,22 @@ class TestProfiler:
         with profile_ops() as prof:
             assert profiler.current_profiler() is prof
         assert profiler.current_profiler() is None
+
+    def test_other_threads_ops_stay_out(self):
+        """A profile records its own thread's ops, never another's."""
+        def convolve():
+            x = Tensor(np.ones((2, 3, 6, 6)), requires_grad=True)
+            w = Tensor(np.ones((4, 3, 3, 3)), requires_grad=True)
+            F.conv2d(x, w, padding=1).sum().backward()
+
+        with profile_ops() as prof:
+            worker = threading.Thread(target=convolve)
+            worker.start()
+            worker.join()
+            (Tensor(np.ones(4)) * 2.0).sum()
+        summary = prof.summary()
+        assert "conv2d" not in summary
+        assert summary["mul"]["forward_calls"] == 1
 
     def test_format_table_renders(self):
         x = Tensor(np.ones(4), requires_grad=True)

@@ -7,6 +7,8 @@ silent float64 upcasts (python scalars, init draws, normalisation
 buffers) that the float64-pinned rest of the suite cannot see.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,28 @@ class TestPolicy:
         with dtype_scope(np.float32):
             assert default_dtype() == np.float32
         assert default_dtype() == np.float64
+
+    def test_scope_is_thread_local(self):
+        """A scope held in one thread leaves another thread's default."""
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def hold_scope():
+            with dtype_scope(np.float32):
+                inside.append(default_dtype())
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=hold_scope)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert default_dtype() == np.float64
+            assert Tensor([1.0]).data.dtype == np.float64
+        finally:
+            release.set()
+            worker.join()
+        assert inside == [np.float32]
 
     def test_set_default_dtype_rejects_non_float(self):
         with pytest.raises((TypeError, ValueError)):
