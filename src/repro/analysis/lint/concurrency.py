@@ -147,6 +147,7 @@ THREAD_LOCAL_MODULES: Dict[str, FrozenSet[str]] = {
     "repro.ops.workspace": frozenset({"_local"}),
     "repro.ops.batching": frozenset({"_state"}),
     "repro.ops.profiler": frozenset({"_state"}),
+    "repro.ops.fastpath": frozenset({"_state"}),
 }
 
 #: Method names whose call mutates the object they are called on.

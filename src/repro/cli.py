@@ -693,8 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--max-batch-rows", type=int, default=128,
                       help="micro-batcher row cap per stacked batch")
     load.add_argument("--max-wait-ms", type=float, default=5.0,
-                      help="micro-batcher window: how long the oldest "
-                           "request waits for company")
+                      help="micro-batcher window: the longest a request "
+                           "waits for company after the later of its "
+                           "arrival and the pump becoming free")
     load.add_argument("--results", default="results", metavar="DIR",
                       help="directory for the benchmark artifact")
     load.add_argument("--bench-name", default="BENCH_serving",

@@ -15,6 +15,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.ops.fastpath import fastpath_enabled
 from repro.tensor import Tensor
 from repro.utils.rng import RngLike, new_rng
 
@@ -159,7 +160,8 @@ class GlobalAvgPool2d(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout with its own reproducible RNG stream."""
+    """Inverted dropout with its own reproducible RNG stream; identity in
+    eval mode and inside :func:`repro.tensor.inference_mode`."""
 
     def __init__(self, p: float = 0.5, rng: RngLike = None):
         super().__init__()
@@ -169,7 +171,8 @@ class Dropout(Module):
         self._rng = new_rng(rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, self.training)
+        return F.dropout(x, self.p, self._rng,
+                         self.training and not fastpath_enabled())
 
 
 class Sequential(Module):

@@ -12,7 +12,6 @@ training set each round and folds the weight into the loss (Eq. 10 has the
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
@@ -96,15 +95,6 @@ def accuracy(probs_or_logits: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == np.asarray(labels)).mean())
 
 
-#: Guards the training-flag flip below.  ``model.eval()``/``model.train``
-#: mutate *shared* module state; with concurrent ``predict_probs`` calls
-#: on one model, an unguarded restore would flip batch-norm layers back
-#: to train-mode statistics under a still-running forward.  The counter
-#: makes the flip first-in/last-out: the first caller records the mode
-#: and switches to eval, the last one restores.
-_eval_lock = threading.Lock()
-
-
 def predict_probs(model, x, batch_size: int = 256) -> np.ndarray:
     """Run ``model`` in eval/no-grad mode and return softmax rows.
 
@@ -117,29 +107,18 @@ def predict_probs(model, x, batch_size: int = 256) -> np.ndarray:
     Ensemble evaluation calls this for every member every round, which is
     why the fast path exists.
 
-    Thread-safe on a shared model: overlapping calls keep the model in
-    eval mode until the last one finishes, then restore the caller-time
-    training flag — the concurrent serving executor relies on this.
+    Inference mode is also this thread's eval mode: ``BatchNorm`` and
+    ``Dropout`` behave as in eval mode without any module's ``training``
+    flag changing, so concurrent calls on a shared model (the serving
+    executor's) need no lock and leave the model's mode as it was.
     """
     from repro.tensor import ArrayView, inference_mode
 
-    with _eval_lock:
-        depth = getattr(model, "_predict_probs_depth", 0)
-        if depth == 0:
-            model._predict_probs_was_training = model.training
-            model.eval()
-        model._predict_probs_depth = depth + 1
     outputs = []
-    try:
-        with inference_mode():
-            for start in range(0, len(x), batch_size):
-                chunk = np.asarray(x[start:start + batch_size])
-                inputs = chunk if np.issubdtype(chunk.dtype, np.integer) else ArrayView(chunk)
-                logits = model(inputs)
-                outputs.append(softmax(logits, axis=1).data)
-    finally:
-        with _eval_lock:
-            model._predict_probs_depth -= 1
-            if model._predict_probs_depth == 0:
-                model.train(model._predict_probs_was_training)
+    with inference_mode():
+        for start in range(0, len(x), batch_size):
+            chunk = np.asarray(x[start:start + batch_size])
+            inputs = chunk if np.issubdtype(chunk.dtype, np.integer) else ArrayView(chunk)
+            logits = model(inputs)
+            outputs.append(softmax(logits, axis=1).data)
     return np.concatenate(outputs, axis=0)

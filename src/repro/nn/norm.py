@@ -5,7 +5,9 @@ Both layers dispatch the single ``batch_norm`` registry op
 finite-difference and bitwise-parity tests.  Running mean/variance live in
 ``_buffers`` so they ride along with ``state_dict``/``load_state_dict``
 (snapshots must capture them or evaluation-time accuracy collapses); the
-op rebinds them in training mode.
+op rebinds them in training mode.  Inside
+:func:`repro.tensor.inference_mode` the layers normalise with the running
+statistics whatever their ``training`` flag says.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
+from repro.ops.fastpath import fastpath_enabled
 from repro.tensor import Tensor, apply, default_dtype
 
 
@@ -42,7 +45,7 @@ class _BatchNorm(Module):
         return apply("batch_norm", (x, x, self.gamma, self.beta),
                      axes=self._reduce_axes(), eps=self.eps,
                      momentum=self.momentum, running=self._buffers,
-                     training=self.training)
+                     training=self.training and not fastpath_enabled())
 
 
 class BatchNorm1d(_BatchNorm):

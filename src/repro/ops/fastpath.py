@@ -1,10 +1,12 @@
-"""The inference fast-path switch.
+"""The per-thread inference switch.
 
 When enabled (together with :func:`repro.tensor.no_grad`), the tensor
 dispatcher runs registry forwards on raw ndarrays and wraps results in
-lightweight graph-free views instead of full ``Tensor`` nodes.  The flag
-lives here — below the tensor layer — so kernels and the dispatcher can
-consult it without import cycles.
+lightweight graph-free views instead of full ``Tensor`` nodes, and
+``BatchNorm`` and ``Dropout`` behave as in eval mode whatever their
+``training`` flag says — so prediction never has to flip shared module
+state.  The flag lives here — below the tensor layer — so kernels, the
+dispatcher and the layers can consult it without import cycles.
 """
 
 from __future__ import annotations
@@ -12,17 +14,24 @@ from __future__ import annotations
 import contextlib
 import threading
 
-_state = threading.local()
+
+class _State(threading.local):
+    # A class default, so an unset thread reads it without a failed lookup.
+    fastpath = False
+
+
+_state = _State()
 
 
 def fastpath_enabled() -> bool:
-    return getattr(_state, "fastpath", False)
+    """Whether this thread is inside :func:`repro.tensor.inference_mode`."""
+    return _state.fastpath
 
 
 @contextlib.contextmanager
 def _fastpath(enabled: bool = True):
     """Internal toggle; use :func:`repro.tensor.inference_mode` instead."""
-    previous = fastpath_enabled()
+    previous = _state.fastpath
     _state.fastpath = enabled
     try:
         yield

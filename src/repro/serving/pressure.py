@@ -32,7 +32,10 @@ scores rank highest ("higher is sicker").
 Members whose circuit breaker currently quarantines them never count
 toward K: quarantine already removed them from the vote, and "serve the
 K healthiest" must mean K *servable* members — a member reinstated
-mid-brownout re-enters the ranking but the roster still caps at K.
+mid-brownout re-enters the ranking but the roster still caps at K.  When
+the floor keeps every member (``min_members >= T``) no level browns
+anything out, and the roster is the full one, quarantined members
+included, exactly as at level 0.
 
 Deterministic by construction (no randomness, no wall clock of its
 own); thread-safety: the transport calls ``observe``/``roster_for``
@@ -154,6 +157,10 @@ class PressureController:
             level = self._level
         if level <= 0:
             return list(members), 0
+        if len(members) <= self.config.min_members:
+            # K = T browns nothing out: the full roster, so quarantined
+            # members are skipped and reported as on every other path.
+            return list(members), level
         servable = [(position, member)
                     for position, member in enumerate(members)
                     if not member.breaker.quarantined]

@@ -10,9 +10,10 @@ cost K× — the classic dynamic-batching lever of model servers.
 
 * ``max_batch_rows`` — a formed batch never exceeds this many stacked
   rows (bounds memory and worst-case latency);
-* ``max_wait_ms`` — how long the oldest queued request may wait for
-  company before the batch is formed anyway (bounds added latency under
-  low traffic; ``0`` batches only what is already queued).
+* ``max_wait_ms`` — how long the live pump may hold a batch open for
+  company that has not arrived yet.  A request waits for company at most
+  ``max_wait_ms`` after the later of its arrival and the pump becoming
+  free (``0`` batches only what is already queued).
 
 Requests are admitted to a **bounded** FIFO queue (depth
 ``queue_depth``); an admission beyond the bound raises
@@ -48,8 +49,19 @@ Two pump modes:
   the calling thread.  Deterministic under any clock; what tests and the
   load harness's open-loop replay drive.
 * :meth:`start` — a background daemon thread that waits on a condition
-  variable, honours ``max_wait_ms`` with real timed waits, and processes
-  batches as they form.  Requires a real (monotonic) clock.
+  variable and processes batches as they form, with real timed waits.
+  Requires a real (monotonic) clock.  It waits only for company that is
+  actually coming: after a batch that answered ``k`` requests, with
+  ``q`` already queued, it expects ``q + k`` requests — the ``q`` it
+  holds plus the ``k`` senders it just woke, who may send again.  It
+  dispatches as soon as that many are queued, the same-size prefix
+  reaches ``max_batch_rows``, or ``max_wait_ms`` has passed since the
+  later of the head's arrival and the pump becoming free.  So an idle
+  pump dispatches a lone request at once, and a closed loop of clients
+  batches without sitting out the window.  The window runs from the
+  pump becoming free because requests queued during a long batch are
+  already past an arrival-clocked window when it ends: clients then
+  split into two groups that alternate half-full batches.
 
 **Shutdown.**  :meth:`stop` closes the front door *first* (subsequent
 :meth:`submit` raises :class:`~repro.serving.errors.ServiceUnavailable`
@@ -321,25 +333,28 @@ class MicroBatcher:
             pass
 
     def _pump_loop(self) -> None:
+        # Pump-thread locals: how many requests the last batch answered
+        # and when the pump became free again.
+        answered, free_at = 0, self.clock()
         while True:
             with self._cond:
+                # Company that is actually coming: what is queued now
+                # plus the senders the last batch just woke.
+                expected = len(self._queue) + answered
                 while self._running and not self._queue:
                     self._cond.wait()
                 if not self._running:
                     return
-                # Batching window: wait for company until the oldest
-                # request ages past max_wait or the prefix fills up.
-                while self._running:
-                    age = self.clock() - self._queue[0].enqueued
-                    prefix_rows = self._prefix_rows()
-                    if age >= self.max_wait or \
-                            prefix_rows >= self.max_batch_rows:
+                while self._running and self._queue:
+                    left = max(free_at, self._queue[0].enqueued) + \
+                        self.max_wait - self.clock()
+                    if len(self._queue) >= expected or left <= 0 or \
+                            self._prefix_rows() >= self.max_batch_rows:
                         break
-                    self._cond.wait(timeout=max(self.max_wait - age, 1e-4))
-                    if not self._queue:
-                        break
+                    self._cond.wait(timeout=left)
                 batch = self._form_batch()
             self._dispatch(batch)
+            answered, free_at = len(batch), self.clock()
 
     def _prefix_rows(self) -> int:
         """Stacked rows the current same-size prefix would contribute."""

@@ -66,11 +66,13 @@ def no_grad():
 
 @contextlib.contextmanager
 def inference_mode():
-    """``no_grad`` plus the registry fast path.
+    """``no_grad`` plus the registry fast path, in eval mode.
 
     Inside this context, op outputs are wrapped in :class:`ArrayView` —
     graph-free tensors created without any autograd bookkeeping — so a
     forward pass is essentially a chain of raw numpy kernel calls.
+    ``BatchNorm`` and ``Dropout`` run as in eval mode on this thread,
+    without touching any module's ``training`` flag.
     """
     with no_grad(), _fastpath_mod._fastpath(True):
         yield

@@ -1,5 +1,7 @@
 """Cross-entropy, distillation, and evaluation helper tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.nn.losses import (
     nll_from_probs,
     predict_probs,
 )
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor, gradcheck, inference_mode
 
 RNG = np.random.default_rng(9)
 
@@ -115,3 +117,63 @@ class TestEvaluationHelpers:
         model.train()
         predict_probs(model, RNG.normal(size=(5, 4)))
         assert model.training
+
+    def test_predict_probs_never_flips_the_shared_training_flag(self):
+        """Eval mode is thread-local: while one thread is inside
+        predict_probs, another thread still sees the model in training
+        mode, and the predicting thread still gets eval-mode answers."""
+
+        class Probe(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def forward(self, x):
+                self.entered.set()
+                assert self.release.wait(timeout=10.0)
+                return x
+
+        probe, norm = Probe(), nn.BatchNorm1d(6)
+        model = nn.Sequential(nn.Linear(4, 6, rng=0), norm,
+                              nn.Dropout(0.5, rng=1), probe,
+                              nn.Linear(6, 3, rng=2))
+        norm._buffers["running_mean"][...] = 0.25
+        data = RNG.normal(size=(5, 4))
+        model.eval()
+        probe.release.set()
+        expected = predict_probs(model, data)
+        probe.release.clear()
+        model.train()
+        running = {key: value.copy()
+                   for key, value in norm._buffers.items()}
+
+        result = {}
+        worker = threading.Thread(
+            target=lambda: result.setdefault(
+                "probs", predict_probs(model, data)))
+        worker.start()
+        try:
+            assert probe.entered.wait(timeout=10.0)
+            seen = [module.training for module in model.modules()]
+        finally:
+            probe.release.set()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert all(seen)
+        assert model.training
+        assert np.array_equal(result["probs"], expected)
+        for key, value in norm._buffers.items():
+            assert np.array_equal(value, running[key])
+
+    def test_inference_mode_is_eval_mode(self):
+        layer = nn.BatchNorm1d(3)
+        layer._buffers["running_var"][...] = 4.0
+        x = Tensor(RNG.normal(size=(6, 3)))
+        with inference_mode():
+            inside = layer(x).data.copy()
+        layer.eval()
+        assert np.array_equal(inside, layer(x).data)
+        layer.train()
+        outside = layer(x).data
+        assert not np.allclose(outside, inside)

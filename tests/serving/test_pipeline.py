@@ -8,6 +8,7 @@ keep their semantics under true concurrency.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,121 @@ class TestScheduler:
         batcher.submit(np.zeros((1, 1)), ticket=None)
         with pytest.raises(QueueFull):
             batcher.submit(np.zeros((1, 1)), ticket=None)
+
+
+# ----------------------------------------------------------------------
+class _Recorder:
+    """A batcher ``process`` hook that logs (dispatch time, requests)
+    and holds its first batch until :attr:`gate` opens."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.log = []
+        self._cond = threading.Condition()
+
+    def __call__(self, stacked, batch):
+        with self._cond:
+            self.log.append((time.monotonic(), len(batch)))
+            self._cond.notify_all()
+        if len(self.log) == 1:
+            assert self.gate.wait(timeout=10.0)
+
+    def wait_for(self, batches, timeout=10.0):
+        with self._cond:
+            assert self._cond.wait_for(
+                lambda: len(self.log) >= batches, timeout=timeout)
+
+
+class TestPumpWindow:
+    """The live pump waits only for company that is actually coming:
+    the requests still queued plus the senders the last batch woke."""
+
+    def test_idle_pump_answers_a_lone_request_at_once(self, factory):
+        service, _ = make_service(factory)
+        x = RNG.normal(size=(4, 4)).astype(np.float32)
+        with ServingPipeline(service, PipelineConfig(
+                workers=0, max_wait_ms=500.0)) as pipeline:
+            started = time.monotonic()
+            answer = pipeline.result(pipeline.submit(x), timeout=10.0)
+            elapsed = time.monotonic() - started
+        assert elapsed < 0.25
+        assert np.array_equal(answer.probs, service.predict(x).probs)
+
+    def test_closed_loop_pair_batches_without_waiting_out_the_window(
+            self, factory):
+        service, _ = make_service(factory)
+        requests = [RNG.normal(size=(8, 4)).astype(np.float32)
+                    for _ in range(10)]
+        solo = [service.predict(x).probs.copy() for x in requests]
+        rounds, answers = 20, [[], []]
+        with ServingPipeline(service, PipelineConfig(
+                workers=0, max_wait_ms=500.0)) as pipeline:
+            def client(index):
+                for step in range(rounds):
+                    which = (index + 2 * step) % len(requests)
+                    ticket = pipeline.submit(requests[which])
+                    answers[index].append(
+                        (which, pipeline.result(ticket, timeout=10.0).probs))
+
+            threads = [threading.Thread(target=client, args=(index,))
+                       for index in range(2)]
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            elapsed = time.monotonic() - started
+            batches = pipeline.batcher.batches_formed
+        assert not any(thread.is_alive() for thread in threads)
+        # Holding every batch for the full window would take >= 10 s.
+        assert elapsed < rounds * 0.5 / 2
+        # 40 requests; all-pairs is 20 batches, all-solo 40.
+        assert batches <= 26
+        for per_client in answers:
+            assert len(per_client) == rounds
+            for which, probs in per_client:
+                assert np.array_equal(probs, solo[which])
+
+    def test_missing_company_is_dispatched_a_window_after_the_pump_freed(
+            self):
+        record = _Recorder()
+        batcher = MicroBatcher(process=record, max_wait_ms=200.0).start()
+        try:
+            x = np.zeros((2, 3), dtype=np.float32)
+            batcher.submit(x, ticket=None)
+            record.wait_for(1)              # running, held at the gate
+            batcher.submit(x, ticket=None)
+            batcher.submit(x, ticket=None)
+            # Both queued requests are already older than the window
+            # when the pump frees, and the woken sender never returns.
+            time.sleep(0.3)
+            released = time.monotonic()
+            record.gate.set()
+            record.wait_for(2)
+        finally:
+            batcher.stop()
+        dispatched, size = record.log[1]
+        assert size == 2
+        assert 0.2 <= dispatched - released < 2.0
+
+    def test_full_prefix_is_dispatched_without_waiting(self):
+        record = _Recorder()
+        batcher = MicroBatcher(process=record, max_batch_rows=8,
+                               max_wait_ms=500.0).start()
+        try:
+            x = np.zeros((4, 3), dtype=np.float32)
+            batcher.submit(x, ticket=None)
+            record.wait_for(1)
+            batcher.submit(x, ticket=None)
+            batcher.submit(x, ticket=None)
+            released = time.monotonic()
+            record.gate.set()
+            record.wait_for(2)
+        finally:
+            batcher.stop()
+        dispatched, size = record.log[1]
+        assert size == 2                    # 8 rows: the prefix is full
+        assert dispatched - released < 0.25
 
 
 # ----------------------------------------------------------------------
