@@ -1,8 +1,8 @@
 """Serving-pipeline load benchmark — QPS, tail latency, bit-parity.
 
-The concurrent pipeline (PR 8) claims that adaptive micro-batching plus
-parallel member execution turn the T× serving cost of an ensemble into
-amortised throughput *without* changing a single served byte.  This
+The concurrent pipeline (PR 8) claims that adaptive micro-batching turns
+the T× serving cost of an ensemble into amortised throughput *without*
+changing a single served byte.  This
 bench measures both halves of that claim with the deterministic load
 harness (:mod:`repro.experiments.serve_load`):
 

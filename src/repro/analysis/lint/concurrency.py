@@ -148,6 +148,9 @@ THREAD_LOCAL_MODULES: Dict[str, FrozenSet[str]] = {
     "repro.ops.batching": frozenset({"_state"}),
     "repro.ops.profiler": frozenset({"_state"}),
     "repro.ops.fastpath": frozenset({"_state"}),
+    "repro.ops.fused": frozenset({"_state"}),
+    "repro.tensor.tensor": frozenset({"_state"}),
+    "repro.tensor.sanitize": frozenset({"_state"}),
 }
 
 #: Method names whose call mutates the object they are called on.

@@ -73,12 +73,13 @@ LAYER_GRAPH: Dict[str, Set[str]] = {
     # Concurrent-pipeline sub-layers (PR 8/9): the scheduler is a
     # bounded-queue micro-batcher with CoDel-style admission control
     # (it speaks the plain-serving error taxonomy, nothing else), the
-    # executor runs roster members on a thread pool (it needs the
-    # member/fault protocol from plain serving and the batch-invariant
-    # GEMM context from ops), the pressure controller maps queue delay
-    # to a healthiest-K brownout roster, the transport composes them
-    # all into the async submit/poll/result front door, and the
-    # retrying client wraps the transport's interface from outside.
+    # executor runs roster members, on a thread pool under a deadline
+    # (it needs the member/fault protocol from plain serving and the
+    # batch-invariant GEMM context from ops), the pressure controller
+    # maps queue delay to a healthiest-K brownout roster, the transport
+    # composes them all into the async submit/poll/result front door,
+    # and the retrying client wraps the transport's interface from
+    # outside.
     # All sit above plain ``serving`` — the sequential service stays
     # importable without any of them.
     "serving.scheduler": {"serving", "utils"},

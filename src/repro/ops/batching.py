@@ -21,8 +21,9 @@ bit-identical to solo results *by construction*, on any BLAS build.  The
 scheduler only coalesces requests of equal row count, which makes every
 block boundary a request boundary.
 
-The declared cell is thread-local (each executor thread batches
-independently) and costs one ``getattr`` on the hot path when disabled.
+The declared cell is thread-local (each thread that runs members
+batches independently) and costs one attribute read on the hot path
+when disabled.
 Higher-rank matmuls (e.g. conv's ``w_mat @ cols`` with a leading sample
 axis) are left untouched: numpy lowers them to one 2-D GEMM per sample
 already, so their geometry never depends on how many samples are stacked.
@@ -36,14 +37,20 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-_state = threading.local()
+
+class _State(threading.local):
+    # A class default, so an unset thread reads it without a failed lookup.
+    cell: Optional[int] = None
+
+
+_state = _State()
 
 __all__ = ["batch_cell", "batch_cell_rows", "blocked_matmul"]
 
 
 def batch_cell_rows() -> Optional[int]:
     """The active cell size (rows per request), or None when disabled."""
-    return getattr(_state, "cell", None)
+    return _state.cell
 
 
 @contextlib.contextmanager

@@ -24,12 +24,18 @@ from repro.ops.registry import register
 
 _EPS = 1e-12
 
-_state = threading.local()
+
+class _State(threading.local):
+    # A class default, so an unset thread reads it without a failed lookup.
+    fused = True
+
+
+_state = _State()
 
 
 def fused_enabled() -> bool:
     """Whether the loss wrappers should dispatch the fused kernels."""
-    return getattr(_state, "fused", True)
+    return _state.fused
 
 
 @contextlib.contextmanager

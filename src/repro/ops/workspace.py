@@ -13,15 +13,16 @@ taped, e.g. under the inference fast path).  Buffers referenced by a graph
 that is never backpropagated are simply garbage-collected — the pool only
 tracks free buffers, never checked-out ones.
 
-Thread safety: the free lists are **thread-local**.  The concurrent
-serving executor runs member forwards on a thread pool, and a shared
-free list would let two conv kernels pop the *same* buffer and overwrite
-each other's patch matrices mid-GEMM.  Per-thread pools make
-acquire/release lock-free and race-free; the acquire→release pair always
-happens on one thread (the dispatcher releases in the same call stack
-that acquired), so buffers never migrate between pools.  The cost is one
-steady-state buffer set per worker thread — bounded by the executor's
-pool size.
+Thread safety: the free lists are **thread-local**.  Serving runs member
+forwards on several threads at once (the batcher's pump, clients served
+without batching, the executor's deadline pool), and a shared free list
+would let two conv kernels pop the *same* buffer and overwrite each
+other's patch matrices mid-GEMM.  Per-thread pools make acquire/release
+lock-free and race-free; the acquire→release pair always happens on one
+thread (the dispatcher releases in the same call stack that acquired), so
+buffers never migrate between pools.  The cost is one steady-state buffer
+set per thread that runs members: the pump, the deadline pool's workers,
+and each client thread served with ``batching=False``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,19 @@ import numpy as np
 
 _MAX_PER_KEY = 8
 
-_local = threading.local()
+
+class _Local(threading.local):
+    # ``threading.local`` runs ``__init__`` once per thread, on first touch.
+    def __init__(self):
+        self.free: Dict[Tuple[tuple, np.dtype], List[np.ndarray]] = {}
+
+
+_local = _Local()
 
 
 def _free() -> Dict[Tuple[tuple, np.dtype], List[np.ndarray]]:
     """This thread's free lists (created empty on first touch)."""
-    pool = getattr(_local, "free", None)
-    if pool is None:
-        pool = _local.free = {}
-    return pool
+    return _local.free
 
 
 def acquire(shape: tuple, dtype) -> np.ndarray:

@@ -19,7 +19,8 @@ The concurrent request path lives in sub-layers stacked *above* this
 package (imported directly, never from here, to keep the layer graph
 acyclic): :mod:`repro.serving.scheduler` (bounded queue + micro-batcher
 + CoDel-style admission control), :mod:`repro.serving.executor`
-(members on a thread pool), :mod:`repro.serving.transport`
+(members on the serving thread, or on a pool under a deadline),
+:mod:`repro.serving.transport`
 (:class:`ServingPipeline`, the async ``submit/poll/result`` front
 door), :mod:`repro.serving.pressure` (brownout: healthiest-K serving
 under queue pressure) and :mod:`repro.serving.client`

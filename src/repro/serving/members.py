@@ -12,10 +12,11 @@ exactly one failure type to absorb and charge to the breaker.
 :func:`run_member` is one member's task — breaker admission, prediction,
 fault conversion, and the thread-death firewall — and :func:`run_members`
 is the one serial loop over a roster.  :meth:`InferenceService.predict
-<repro.serving.service.InferenceService.predict>` and the inline
-(``workers=0``) :class:`~repro.serving.executor.MemberExecutor` both run
-that loop; the pooled executor runs :func:`run_member` as its pool task.
-So a member fails the same way whichever path serves the request.
+<repro.serving.service.InferenceService.predict>` and the
+:class:`~repro.serving.executor.MemberExecutor` both run that loop; the
+executor runs :func:`run_member` as a pool task only for deadline
+requests.  So a member fails the same way whichever path serves the
+request.
 """
 
 from __future__ import annotations

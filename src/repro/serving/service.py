@@ -35,7 +35,8 @@ assert exactly that.
 This module is the *policy* core of the serving stack: validation,
 roster bookkeeping, aggregation and the health surface.  Running the
 members is :func:`repro.serving.members.run_members` (the serial loop
-:meth:`predict` uses); running them on a thread pool lives in
+:meth:`predict` uses); running them for the pipeline, on a thread
+pool when a deadline may abandon one, lives in
 :mod:`repro.serving.executor`, request coalescing in
 :mod:`repro.serving.scheduler`, and the async ``submit/poll/result``
 front door in :mod:`repro.serving.transport` — all of which reuse

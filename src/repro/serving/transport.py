@@ -4,9 +4,10 @@
 request path::
 
     submit() ──► MicroBatcher ──► MemberExecutor ──► finish() ──► Ticket
-    (validate,   (coalesce         (members on a      (Eq. 16 α
-     admission    same-size         thread pool,       aggregate,
-     control)     requests)         blocked GEMMs)     per request)
+    (validate,   (coalesce         (members in turn   (Eq. 16 α
+     admission    same-size         on the serving     aggregate,
+     control)     requests)         thread, blocked    per request)
+                                    GEMMs)
 
 * :meth:`submit` validates the payload (the service's counters see every
   rejection), enqueues it and returns a :class:`Ticket`;
@@ -55,9 +56,10 @@ chaos harness asserts this invariant over seeded fault schedules.
 
 **Deadlines.**  A deadline-bearing request skips the queue: its budget
 starts ticking at submit, and burning it in a batching window would be
-self-defeating.  It runs immediately on the member executor (parallel
-members, partial α-renormalised aggregate over whatever finished), so
-``submit`` with a deadline completes the ticket synchronously.
+self-defeating.  It runs immediately on the member executor's pool
+(members that outlive the budget are abandoned; the answer is the
+partial α-renormalised aggregate over whatever finished), so ``submit``
+with a deadline completes the ticket synchronously.
 
 **Consistency.**  Each batch takes one
 :meth:`~InferenceService.roster_snapshot` — the copy-on-write roster
@@ -103,7 +105,13 @@ class PipelineConfig:
 
     ``batching=False`` degrades the pipeline to per-request execution
     (still through the member executor) — the load harness's baseline.
-    ``workers=0`` runs members inline instead of on a pool.
+
+    ``workers`` sizes the member pool, which serves deadline requests
+    only: every other request runs its members one after another on the
+    thread that serves it (see :mod:`repro.serving.executor`).
+    ``workers=0`` has no pool, so deadline requests run inline too and
+    a member still running at the deadline is waited for, not
+    abandoned.
 
     ``target_delay_ms`` enables CoDel-style admission control on the
     batcher queue (``None`` disables — the PR 8 behaviour);
@@ -115,7 +123,7 @@ class PipelineConfig:
     max_batch_rows: int = 128
     max_wait_ms: float = 2.0
     queue_depth: int = 256
-    workers: Optional[int] = None      # None: pool default; 0: inline
+    workers: Optional[int] = None      # None: pool default; 0: no pool
     batching: bool = True
     target_delay_ms: Optional[float] = None
     interval_ms: float = 100.0
@@ -182,7 +190,8 @@ class ServingPipeline:
     """Concurrent micro-batching front end over an :class:`InferenceService`.
 
     Use as a context manager (or call :meth:`start`/:meth:`close`): the
-    batcher's pump thread and the member pool are real resources.
+    batcher's pump thread and the member pool (started on the first
+    deadline request) are real resources.
     """
 
     def __init__(self, service: InferenceService,

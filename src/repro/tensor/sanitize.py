@@ -34,7 +34,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-_state = threading.local()
+
+class _State(threading.local):
+    # A class default, so an unset thread reads it without a failed lookup.
+    enabled = False
+
+
+_state = _State()
 
 
 class SanitizerError(RuntimeError):
@@ -57,7 +63,7 @@ class SanitizerError(RuntimeError):
 
 def sanitize_enabled() -> bool:
     """Whether op dispatches are currently being sanitized."""
-    return getattr(_state, "enabled", False)
+    return _state.enabled
 
 
 @contextlib.contextmanager

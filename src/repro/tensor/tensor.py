@@ -45,12 +45,18 @@ import repro.ops  # noqa: F401  (registration side effect)
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_state = threading.local()
+
+class _State(threading.local):
+    # A class default, so an unset thread reads it without a failed lookup.
+    grad_enabled = True
+
+
+_state = _State()
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations are currently being recorded on the tape."""
-    return getattr(_state, "grad_enabled", True)
+    return _state.grad_enabled
 
 
 @contextlib.contextmanager

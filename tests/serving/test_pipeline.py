@@ -13,7 +13,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.concurrency import lock_order_mode
 from repro.core import Ensemble
+from repro.models import ModelFactory, ResNetCIFAR
 from repro.serving import (
     CLOSED,
     HALF_OPEN,
@@ -464,6 +466,208 @@ class TestHotSwapConsistency:
                          after_ensemble.predict_probs(x).tobytes()}
         for answer in answers:
             assert answer.tobytes() in legal
+
+
+# ----------------------------------------------------------------------
+class _ThreadProbe:
+    """A member that logs the thread of every forward; it blocks on
+    ``hold`` (when given) to outlive a deadline."""
+
+    def __init__(self, model, log, hold=None):
+        self.model, self.log, self.hold = model, log, hold
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def __call__(self, x):
+        self.log.append(threading.current_thread())
+        if self.hold is not None:
+            assert self.hold.wait(timeout=10.0)
+        return self.model(x)
+
+
+class TestMemberThreads:
+    """Members run on the thread that serves the request; the member pool
+    serves deadline requests only."""
+
+    @staticmethod
+    def probed_pipeline(factory, **config):
+        """A pooled pipeline (``workers=None``) whose members log their
+        threads; build it under the lock-order sanitizer."""
+        service, _ = make_service(factory)
+        log = []
+        for member in service.members:
+            member.model = _ThreadProbe(member.model, log)
+        pipeline = ServingPipeline(service, PipelineConfig(workers=None,
+                                                           **config))
+        return service, pipeline, log
+
+    @pytest.fixture
+    def probed(self, factory):
+        with lock_order_mode():
+            service, pipeline, log = self.probed_pipeline(factory)
+            yield service, pipeline, log
+            pipeline.close()
+
+    @staticmethod
+    def record_process(pipeline, log):
+        """Wrap the batcher hook: (calling thread, member threads) per batch."""
+        runs, process = [], pipeline.batcher.process
+
+        def recording(stacked, batch):
+            start = len(log)
+            process(stacked, batch)
+            runs.append((threading.current_thread(), log[start:]))
+
+        pipeline.batcher.process = recording
+        return runs
+
+    @staticmethod
+    def check_answers(service, pipeline, requests, tickets):
+        for x, ticket in zip(requests, tickets):
+            answer = pipeline.result(ticket, timeout=10.0)
+            assert answer.members_skipped == []
+            assert np.array_equal(answer.probs, service.predict(x).probs)
+        ledger = pipeline.stats()
+        assert ledger.failed == 0 and ledger.pending == 0
+
+    def test_batched_members_run_on_the_processing_thread(self, probed):
+        service, pipeline, log = probed
+        runs = self.record_process(pipeline, log)
+        requests = [RNG.normal(size=(4, 4)).astype(np.float32)
+                    for _ in range(6)]
+        pipeline.start(pump=False)
+        tickets = [pipeline.submit(x) for x in requests[:3]]
+        while pipeline.batcher.pump_once():
+            pass
+        # The live pump: three requests queued before it starts go out
+        # as one stacked batch.
+        tickets += [pipeline.submit(x) for x in requests[3:]]
+        pipeline.start()
+        self.check_answers(service, pipeline, requests, tickets)
+        assert [len(threads) for _, threads in runs] == [4, 4]
+        assert runs[0][0] is threading.current_thread()
+        assert runs[1][0].name == "repro-batcher"
+        for caller, threads in runs:
+            assert all(thread is caller for thread in threads)
+
+    def test_unbatched_request_runs_on_the_submitting_thread(self, factory):
+        requests = [RNG.normal(size=(3, 4)).astype(np.float32)
+                    for _ in range(2)]
+        with lock_order_mode():
+            service, pipeline, log = self.probed_pipeline(
+                factory, batching=False)
+            with pipeline:
+                tickets = []
+                client = threading.Thread(
+                    target=lambda: tickets.extend(
+                        pipeline.submit(x) for x in requests),
+                    name="client")
+                client.start()
+                client.join(timeout=10.0)
+                assert not client.is_alive()
+                served = list(log)
+                self.check_answers(service, pipeline, requests, tickets)
+        assert len(served) == 2 * len(service.members)
+        assert all(thread is client for thread in served)
+
+    def test_deadline_request_runs_on_the_pool_and_abandons(self, probed):
+        service, pipeline, log = probed
+        hold = threading.Event()
+        slow = service.members[2]
+        slow.model.hold = hold
+        x = RNG.normal(size=(4, 4)).astype(np.float32)
+        try:
+            answer = pipeline.result(pipeline.submit(x, deadline=1.0),
+                                     timeout=10.0)
+        finally:
+            hold.set()
+        assert answer.deadline_hit
+        assert [(index, kind) for index, kind, _ in answer.members_skipped] \
+            == [(slow.index, "deadline")]
+        assert slow.index not in answer.members_used
+        assert len(log) == len(service.members)
+        assert all(thread.name.startswith("repro-member") for thread in log)
+        assert threading.current_thread() not in log
+
+
+# ----------------------------------------------------------------------
+class TestResNetServing:
+    """Small ResNets (conv + BatchNorm) served on every pipeline path
+    answer ``==`` ``service.predict`` and leave every module's mode and
+    BatchNorm running statistics as they were."""
+
+    @staticmethod
+    def make_resnet_service():
+        factory = ModelFactory(ResNetCIFAR, depth=8, num_classes=4,
+                               base_width=4)
+        rng = np.random.default_rng(5)
+        ensemble = Ensemble()
+        for seed in range(3):
+            model = factory.build(rng=seed)
+            # Non-trivial running statistics, so eval-mode BN matters.
+            for module in model.modules():
+                buffers = getattr(module, "_buffers", {})
+                if "running_mean" in buffers:
+                    width = buffers["running_mean"].shape
+                    buffers["running_mean"][...] = rng.normal(
+                        scale=0.1, size=width)
+                    buffers["running_var"][...] = rng.uniform(
+                        0.5, 1.5, size=width)
+            ensemble.add(model, alpha=seed + 0.5)
+        return InferenceService(ensemble, ServiceConfig()), ensemble
+
+    @staticmethod
+    def model_state(ensemble):
+        return [(module.training,
+                 {name: buffer.copy() for name, buffer in
+                  getattr(module, "_buffers", {}).items()})
+                for model in ensemble.models for module in model.modules()]
+
+    def test_every_path_matches_service_predict(self):
+        service, ensemble = self.make_resnet_service()
+        rng = np.random.default_rng(9)
+        requests = [rng.normal(size=(rows, 3, 10, 10)).astype(np.float32)
+                    for rows in (2, 2, 2, 3, 2, 2)]
+        before = self.model_state(ensemble)
+        expected = [service.predict(x) for x in requests]
+        answers = {}
+
+        # Live pump, stacked: everything queued before the pump starts.
+        pipeline = ServingPipeline(service, PipelineConfig(workers=None))
+        tickets = [pipeline.submit(x) for x in requests]
+        with pipeline.start():
+            answers["live"] = [pipeline.result(t, timeout=30.0)
+                               for t in tickets]
+            stacked = pipeline.batcher.batches_formed < len(requests)
+            # Deadline-solo on the member pool, with a budget nothing hits.
+            answers["deadline"] = [pipeline.predict(x, deadline=60.0)
+                                   for x in requests]
+        assert stacked
+        with ServingPipeline(service, PipelineConfig(workers=None)).start(
+                pump=False) as pipeline:
+            tickets = [pipeline.submit(x) for x in requests]
+            while pipeline.batcher.pump_once():
+                pass
+            answers["pump_once"] = [pipeline.result(t, timeout=30.0)
+                                    for t in tickets]
+        with ServingPipeline(service, PipelineConfig(
+                workers=None, batching=False)) as pipeline:
+            answers["unbatched"] = [pipeline.predict(x) for x in requests]
+
+        for path, served in answers.items():
+            for answer, solo in zip(served, expected):
+                assert np.array_equal(answer.probs, solo.probs), path
+                assert answer.members_used == solo.members_used, path
+                assert not answer.deadline_hit, path
+        after = self.model_state(ensemble)
+        assert len(after) == len(before)
+        for (mode_before, stats_before), (mode_after, stats_after) in zip(
+                before, after):
+            assert mode_before == mode_after
+            assert stats_before.keys() == stats_after.keys()
+            for name, value in stats_before.items():
+                assert np.array_equal(value, stats_after[name])
 
 
 # ----------------------------------------------------------------------
