@@ -327,7 +327,7 @@ def serve_drift_runner(run: RunSpec, context: RunContext) -> RunOutput:
 SERVING_LOAD_OVERRIDES = (
     "ensemble_size", "batching", "requests", "rows", "clients", "warmup",
     "arrival", "rate", "rate_end", "burst_period_s", "burst_duty",
-    "max_batch_rows", "max_wait_ms", "workers",
+    "max_batch_rows", "max_wait_ms",
     "probe_requests", "input_dim", "num_classes",
 )
 

@@ -8,8 +8,9 @@ style but deterministic, against the concurrent pipeline
 (:mod:`repro.serving.transport`):
 
 * **Closed loop** — C client threads in a submit→wait→repeat cycle over
-  pre-generated payloads.  Real wall-clock timing (``perf_counter``):
-  this is where QPS and the p50/p95/p99 latency percentiles come from.
+  pre-generated payloads, released together once all C are running.
+  Real wall-clock timing (``perf_counter``) from that release: this is
+  where QPS and the p50/p95/p99 latency percentiles come from.
 * **Open loop** — a Poisson arrival replay on a
   :class:`~repro.serving.faults.ManualClock` through :func:`replay`
   (the overload suite and the chaos harness run it too): arrivals are
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,7 +94,6 @@ class LoadConfig:
     max_batch_rows: int = 128
     max_wait_ms: float = 5.0
     queue_depth: int = 1024
-    workers: Optional[int] = None  # member pool size (None: default)
     probe_requests: int = 16       # bit-parity probe set size
     seed: int = 0
 
@@ -162,7 +162,6 @@ def _pipeline_config(config: LoadConfig) -> PipelineConfig:
     return PipelineConfig(max_batch_rows=config.max_batch_rows,
                           max_wait_ms=config.max_wait_ms,
                           queue_depth=config.queue_depth,
-                          workers=config.workers,
                           batching=config.batching)
 
 
@@ -212,7 +211,7 @@ def _check_parity(config: LoadConfig, service: InferenceService,
     probes = _payloads(config, config.probe_requests, rng)
     solo = [service.predict(x).probs.copy() for x in probes]
     pipeline = ServingPipeline(service, PipelineConfig(
-        max_batch_rows=config.max_batch_rows, workers=0,
+        max_batch_rows=config.max_batch_rows,
         queue_depth=max(config.queue_depth, len(probes)))
     ).start(pump=False)
     tickets = [pipeline.submit(x) for x in probes]
@@ -237,7 +236,10 @@ def _run_closed_loop(config: LoadConfig, service: InferenceService,
         for x in warmup:
             pipeline.predict(x)
 
+        go = threading.Event()
+
         def client(indices) -> None:
+            go.wait()
             mine = []
             for i in indices:
                 begin = time.perf_counter()
@@ -249,9 +251,15 @@ def _run_closed_loop(config: LoadConfig, service: InferenceService,
         threads = [threading.Thread(target=client, args=(share,),
                                     name=f"load-client-{n}")
                    for n, share in enumerate(shares) if len(share)]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
+        # The clock starts once every client exists: each spawn waits
+        # for the GIL held by whichever client is serving, which in a
+        # short run would otherwise be most of the timed wall time.
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            started = time.perf_counter()
+            go.set()                   # a failed spawn strands no client
         for thread in threads:
             thread.join()
         seconds = time.perf_counter() - started
@@ -265,8 +273,7 @@ def _run_open_loop(config: LoadConfig, rng: np.random.Generator):
     """Poisson replay on a manual clock: deterministic batching policy."""
     clock = ManualClock()
     service = build_load_service(config, clock=clock)
-    pipeline = ServingPipeline(
-        service, replace(_pipeline_config(config), workers=0))
+    pipeline = ServingPipeline(service, _pipeline_config(config))
     pipeline.start(pump=False)   # replay pumps at exact window expiries
     arrivals = arrival_times(config, rng)
     payloads = _payloads(config, config.requests, rng)
@@ -330,8 +337,10 @@ def replay(pipeline: ServingPipeline, clock: ManualClock,
     ``enqueued`` stamp, and every sojourn computed from it, matches the
     timeline — and the clock restored.
 
-    The pipeline must be built on ``clock`` with ``workers=0`` and
-    started with ``pump=False``.  Without batching every request is
+    The pipeline must be built on ``clock`` and started with
+    ``pump=False``.  Arrivals carry no deadline, so every member runs on
+    the thread that pumps (or, without batching, submits): serving
+    never leaves virtual time.  Without batching every request is
     answered at submit and nothing is pumped.
     """
     batcher = pipeline.batcher

@@ -7,8 +7,9 @@ Everything runs in **virtual time** on a
 :class:`~repro.serving.faults.ManualClock`:
 
 * every member is wrapped in :class:`~repro.serving.faults.SlowMember`
-  with a fixed virtual service time, and the executor runs inline
-  (``workers=0``), so serving a batch advances the clock by exactly
+  with a fixed virtual service time, and with no request carrying a
+  deadline the executor runs members inline on the pumping thread, so
+  serving a batch advances the clock by exactly
   ``live members × member_seconds`` — a deterministic single-server
   queueing model in which brownout (fewer members per batch) genuinely
   raises capacity;
@@ -153,7 +154,7 @@ def _pipeline(config: OverloadConfig, service: InferenceService,
         # The baseline has no backpressure story: an effectively
         # unbounded queue is what lets its latency collapse show.
         queue_depth=config.queue_depth if resilient else 1_000_000,
-        workers=0, batching=True,
+        batching=True,
         target_delay_ms=config.target_delay_ms if resilient else None,
         interval_ms=config.interval_ms,
         brownout=brownout,

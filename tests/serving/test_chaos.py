@@ -130,9 +130,10 @@ class TestThreadDeathFirewall:
 
     @staticmethod
     def _pool(service, x):
+        # Only a deadline request runs its members on the pool.
         with MemberExecutor(workers=2) as executor:
             outputs, skipped, _ = executor.run(service.members, x,
-                                               batch_size=4)
+                                               batch_size=4, deadline=60.0)
         return [member.index for member, _ in outputs], skipped
 
     @staticmethod

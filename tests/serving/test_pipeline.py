@@ -680,11 +680,14 @@ class TestExecutorSemantics:
         x = RNG.normal(size=(4, 4)).astype(np.float32)
         executor = MemberExecutor(workers=3)
         members, alpha_configured = service.roster_snapshot()
-        outputs, skipped, _ = executor.run(members, x, batch_size=256)
+        # A deadline puts the members on the pool (none is hit here).
+        outputs, skipped, _ = executor.run(members, x, batch_size=256,
+                                           deadline=60.0)
         assert [m.index for m, _ in outputs] == [0, 2, 3]
         assert skipped[0][0] == 1 and skipped[0][1] == "fault"
         # Next run: the breaker (threshold 1) has the member quarantined.
-        outputs, skipped, _ = executor.run(members, x, batch_size=256)
+        outputs, skipped, _ = executor.run(members, x, batch_size=256,
+                                           deadline=60.0)
         assert skipped[0][1] == "quarantined"
         executor.shutdown()
 
