@@ -6,8 +6,9 @@ paper artefacts), this one measures the op layer itself:
 * per-op forward/backward microseconds at training-like shapes, taken
   straight from the op profiler (the same numbers ``--profile-ops``
   reports during a real fit);
-* the fused ``softmax_cross_entropy`` / ``edde_loss`` kernels against the
-  multi-node chains they replace — the fused path must win;
+* the fused ``softmax_cross_entropy`` / ``edde_loss`` kernels and the
+  one-op ``nn.Linear`` against the multi-node chains they replace — the
+  one-op path must win;
 * wall-clock seconds per EDDE boosting round on the benchmark MLP config,
   measured through a one-cell grid (the ``method`` runner reports
   ``round_seconds`` in the run record's metadata).
@@ -32,11 +33,12 @@ from repro.data.synthetic_images import ImageConfig, make_image_dataset
 from repro.experiments.grid import GridSpec, scenario_scope
 from repro.experiments.protocol import Scenario
 from repro.models import MLP, ModelFactory
+from repro.nn import Linear
 from repro.nn import functional as F
 from repro.nn.losses import cross_entropy
 from repro.ops import profile_ops
 from repro.ops.fused import use_fused
-from repro.tensor import Tensor, default_dtype
+from repro.tensor import ArrayView, Tensor, default_dtype, inference_mode
 from repro.tensor.ops import softmax
 
 RNG = np.random.default_rng(0)
@@ -132,6 +134,36 @@ def _bench_fused(batch: int = 256, classes: int = 100) -> dict:
             "unfused_us": unfused * 1e6,
             "speedup": unfused / fused,
         }
+    results.update(_bench_linear())
+    return results
+
+
+def _bench_linear(rows: int = 16, features=(16, 32)) -> dict:
+    """The one-op ``nn.Linear`` against its old ``transpose``/``matmul``/
+    ``add`` chain, at the serve-mlp hidden layer's shape."""
+    layer = Linear(*features, rng=0)
+    x_data = RNG.normal(size=(rows, features[0])).astype(default_dtype())
+
+    def chain(x):
+        return x @ layer.weight.transpose() + layer.bias
+
+    def infer(forward):
+        with inference_mode():
+            forward(ArrayView(x_data))
+
+    def train(forward):
+        layer.zero_grad()
+        forward(Tensor(x_data, requires_grad=True)).sum().backward()
+
+    results = {}
+    for mode, run in (("inference", infer), ("train step", train)):
+        one_op = _median_seconds(lambda: run(layer), repeats=200)
+        three = _median_seconds(lambda: run(chain), repeats=200)
+        results[f"linear ({mode})"] = {
+            "fused_us": one_op * 1e6,
+            "unfused_us": three * 1e6,
+            "speedup": three / one_op,
+        }
     return results
 
 
@@ -179,7 +211,7 @@ def _render(payload: dict) -> str:
     fused_rows = [[name, f"{row['fused_us']:.1f}", f"{row['unfused_us']:.1f}",
                    f"{row['speedup']:.2f}x"]
                   for name, row in payload["fused"].items()]
-    fused = format_table(["loss", "fused µs", "unfused µs", "speedup"],
+    fused = format_table(["kernel", "fused µs", "unfused µs", "speedup"],
                          fused_rows, title="Fused kernels vs unfused chains "
                                            "(forward+backward)")
     rounds = " ".join(f"{s:.2f}s" for s in payload["edde"]["round_seconds"])
@@ -202,7 +234,7 @@ def test_bench_ops(benchmark, capsys):
     payload = run_once(benchmark, _run_bench_ops)
     write_json("BENCH_ops", payload)
     emit("bench_ops", _render(payload), capsys)
-    # The fused kernels replace 5+-node chains with one op; if they ever
+    # The fused kernels replace 3+-node chains with one op; if they ever
     # stop winning, the fusion is pure complexity and should be removed.
     for name, row in payload["fused"].items():
         assert row["speedup"] > 1.0, (name, row)

@@ -16,7 +16,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.ops.fastpath import fastpath_enabled
-from repro.tensor import Tensor
+from repro.tensor import Tensor, apply
 from repro.utils.rng import RngLike, new_rng
 
 
@@ -39,10 +39,10 @@ class Linear(Module):
             self.bias.data[...] = 0.0
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.transpose()
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        # One registry op, bit-identical to ``x @ W.transpose() + b``.
+        inputs = (x, self.weight) if self.bias is None else \
+            (x, self.weight, self.bias)
+        return apply("linear", inputs)
 
 
 class Conv2d(Module):

@@ -12,12 +12,21 @@ training set each round and folds the weight into the loss (Eq. 10 has the
 
 from __future__ import annotations
 
+import contextlib
 from typing import Optional
 
 import numpy as np
 
+from repro.ops.fastpath import fastpath_enabled
 from repro.ops.fused import fused_enabled
-from repro.tensor import Tensor, apply, default_dtype
+from repro.tensor import (
+    ArrayView,
+    Tensor,
+    apply,
+    default_dtype,
+    inference_mode,
+    is_grad_enabled,
+)
 from repro.tensor.ops import log_softmax, softmax
 
 
@@ -99,26 +108,31 @@ def predict_probs(model, x, batch_size: int = 256) -> np.ndarray:
     """Run ``model`` in eval/no-grad mode and return softmax rows.
 
     ``x`` may be a numpy array (images: NCHW floats, text: int token ids).
-    Batched so ensembles of many models stay memory-bounded.
+    Batched so ensembles of many models stay memory-bounded; a request of
+    at most ``batch_size`` rows is one chunk, returned as is, and longer
+    ones are concatenated chunk by chunk.
 
     Runs under :func:`repro.tensor.inference_mode`: registry forwards
     execute on raw arrays wrapped in graph-free ``ArrayView`` tensors, so
     no autograd bookkeeping (closures, parent links, contexts) is built.
     Ensemble evaluation calls this for every member every round, which is
-    why the fast path exists.
+    why the fast path exists.  A caller already inside inference mode
+    (the serving member loop enters it once per roster) is not made to
+    enter it again.
 
     Inference mode is also this thread's eval mode: ``BatchNorm`` and
     ``Dropout`` behave as in eval mode without any module's ``training``
     flag changing, so concurrent calls on a shared model (the serving
     executor's) need no lock and leave the model's mode as it was.
     """
-    from repro.tensor import ArrayView, inference_mode
-
+    inside = fastpath_enabled() and not is_grad_enabled()
     outputs = []
-    with inference_mode():
+    with contextlib.nullcontext() if inside else inference_mode():
         for start in range(0, len(x), batch_size):
             chunk = np.asarray(x[start:start + batch_size])
             inputs = chunk if np.issubdtype(chunk.dtype, np.integer) else ArrayView(chunk)
             logits = model(inputs)
             outputs.append(softmax(logits, axis=1).data)
+    if len(outputs) == 1:
+        return outputs[0]
     return np.concatenate(outputs, axis=0)

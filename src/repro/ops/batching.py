@@ -10,8 +10,9 @@ and the same request served alone.
 
 The fix is to make the GEMM geometry a function of the *request*, not the
 batch: while a batch cell size ``R`` is declared (via :func:`batch_cell`),
-every 2-D ``matmul`` dispatch computes its output in independent row
-blocks of exactly ``R`` rows::
+every 2-D ``matmul`` and ``linear`` dispatch computes its product in
+independent row blocks of exactly ``R`` rows (both call
+:func:`cell_matmul`)::
 
     out[i : i + R] = x[i : i + R] @ y        # one BLAS call per block
 
@@ -45,7 +46,7 @@ class _State(threading.local):
 
 _state = _State()
 
-__all__ = ["batch_cell", "batch_cell_rows", "blocked_matmul"]
+__all__ = ["batch_cell", "batch_cell_rows", "blocked_matmul", "cell_matmul"]
 
 
 def batch_cell_rows() -> Optional[int]:
@@ -57,7 +58,7 @@ def batch_cell_rows() -> Optional[int]:
 def batch_cell(rows: int) -> Iterator[None]:
     """Declare that stacked activations are ``rows``-row request cells.
 
-    While active, 2-D matmul forwards run block-by-block at this row
+    While active, 2-D products run block-by-block at this row
     count (see module docstring).  Nests; ``rows`` must be positive.
     """
     rows = int(rows)
@@ -88,3 +89,16 @@ def blocked_matmul(x: np.ndarray, y: np.ndarray, cell: int) -> np.ndarray:
     for start in range(cell, n, cell):
         out[start:start + cell] = x[start:start + cell] @ y
     return out
+
+
+def cell_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``, blocked at the declared batch cell when one is active.
+
+    Only 2-D products with more rows than the cell are blocked; anything
+    else is one plain GEMM (see the module docstring).
+    """
+    cell = _state.cell
+    if cell is not None and x.ndim == 2 and y.ndim == 2 and \
+            x.shape[0] > cell:
+        return blocked_matmul(x, y, cell)
+    return x @ y

@@ -40,10 +40,11 @@ starts its threads lazily, so a pipeline that never sees a deadline
 starts none.
 
 Answers are bit-identical whichever thread runs a member:
-:func:`~repro.ops.batching.batch_cell` (set inside each task from the
-optional ``cell`` argument, making stacked micro-batches bit-identical
-to solo execution), inference mode and kernel workspaces are all
-thread-local.
+:func:`~repro.ops.batching.batch_cell` (set from the optional ``cell``
+argument, making stacked micro-batches bit-identical to solo execution),
+inference mode and kernel workspaces are all thread-local.  The serial
+loop enters inference mode and the cell once per roster; each pool task
+enters them on its own thread.
 
 Thread-safety contract: stateless apart from the pool; every call gets
 its roster snapshot from the caller, so hot swaps can never tear a

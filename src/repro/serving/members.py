@@ -17,11 +17,22 @@ is the one serial loop over a roster.  :meth:`InferenceService.predict
 executor runs :func:`run_member` as a pool task only for deadline
 requests.  So a member fails the same way whichever path serves the
 request.
+
+Both run members inside one *inference scope*:
+:func:`repro.tensor.inference_mode`, plus
+:func:`repro.ops.batching.batch_cell` when the request declares a batch
+cell.  The serial loop enters it once for the whole roster; a pool task
+(the executor's deadline path) enters its own, because the scope is
+thread-local and the task runs on a pool thread.  Entering it once per
+roster rather than once per member changes no bit: a member's failure is
+caught inside the scope, and leaving the scope restores the thread's
+state whichever way the roster ends.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import contextlib
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +40,7 @@ from repro.nn import predict_probs
 from repro.ops.batching import batch_cell
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.errors import MemberFault
+from repro.tensor import inference_mode
 
 #: Why a member did not contribute to one prediction.
 SKIP_QUARANTINED = "quarantined"
@@ -87,14 +99,35 @@ MemberOutputs = List[Tuple[ServingMember, np.ndarray]]
 MemberSkips = List[Tuple[int, str, str]]
 
 
+@contextlib.contextmanager
+def _inference_scope(cell: Optional[int]) -> Iterator[None]:
+    """Inference mode, plus ``batch_cell(cell)`` when ``cell`` is set."""
+    with inference_mode():
+        if cell is None:
+            yield
+        else:
+            with batch_cell(cell):
+                yield
+
+
 def run_member(member: ServingMember, x: np.ndarray, batch_size: int,
                cell: Optional[int] = None) -> Tuple[str, object]:
-    """One member task: breaker admission, prediction, fault conversion.
+    """One member as a pool task, in its own inference scope.
 
-    Returns ``("ok", probs)`` or ``(skip kind, reason)``.  ``cell``
-    evaluates under :func:`repro.ops.batching.batch_cell`, which makes a
-    stacked micro-batch bit-identical to solo execution (the context is
-    thread-local, hence set here, inside the task).
+    Returns ``("ok", probs)`` or ``(skip kind, reason)``.  The scope
+    (inference mode, and :func:`repro.ops.batching.batch_cell` when
+    ``cell`` is set, which makes a stacked micro-batch bit-identical to
+    solo execution) is thread-local, so a task on a pool thread — the
+    executor's deadline path — must enter it itself.  The serial loop
+    :func:`run_members` enters it once per roster instead.
+    """
+    with _inference_scope(cell):
+        return _run_scoped(member, x, batch_size)
+
+
+def _run_scoped(member: ServingMember, x: np.ndarray,
+                batch_size: int) -> Tuple[str, object]:
+    """Breaker admission, prediction and fault conversion, inside a scope.
 
     The final ``BaseException`` arm is the thread-death firewall:
     :meth:`ServingMember.predict` already converts every *model* failure
@@ -109,9 +142,6 @@ def run_member(member: ServingMember, x: np.ndarray, batch_size: int,
     if not member.breaker.allow():
         return (SKIP_QUARANTINED, member.breaker.describe())
     try:
-        if cell is not None:
-            with batch_cell(cell):
-                return ("ok", member.predict(x, batch_size=batch_size))
         return ("ok", member.predict(x, batch_size=batch_size))
     except MemberFault as fault:
         return (SKIP_FAULT, fault.reason)
@@ -128,25 +158,27 @@ def run_members(members: Sequence[ServingMember], x: np.ndarray,
                 ) -> Tuple[MemberOutputs, MemberSkips, bool]:
     """The serial member loop; returns (outputs, skipped, deadline hit).
 
-    Members run one after another in roster order.  With a ``deadline``
-    (seconds on ``clock`` since ``started``) a member is only *started*
-    while budget remains; the rest are skipped as ``deadline``.  Time is
-    read only from ``clock``, so the loop is deterministic under a manual
-    clock.
+    Members run one after another in roster order, all inside one
+    inference scope that this call enters and leaves (see the module
+    docstring).  With a ``deadline`` (seconds on ``clock`` since
+    ``started``) a member is only *started* while budget remains; the
+    rest are skipped as ``deadline``.  Time is read only from ``clock``,
+    so the loop is deterministic under a manual clock.
     """
     outputs: MemberOutputs = []
     skipped: MemberSkips = []
     deadline_hit = False
-    for member in members:
-        if deadline is not None and clock() - started >= deadline:
-            deadline_hit = True
-            skipped.append((member.index, SKIP_DEADLINE,
-                            f"not started within the {deadline:g}s "
-                            "deadline"))
-            continue
-        kind, value = run_member(member, x, batch_size, cell)
-        if kind == "ok":
-            outputs.append((member, value))
-        else:
-            skipped.append((member.index, kind, value))
+    with _inference_scope(cell):
+        for member in members:
+            if deadline is not None and clock() - started >= deadline:
+                deadline_hit = True
+                skipped.append((member.index, SKIP_DEADLINE,
+                                f"not started within the {deadline:g}s "
+                                "deadline"))
+                continue
+            kind, value = _run_scoped(member, x, batch_size)
+            if kind == "ok":
+                outputs.append((member, value))
+            else:
+                skipped.append((member.index, kind, value))
     return outputs, skipped, deadline_hit

@@ -32,6 +32,25 @@ class TestBlockedMatmul:
             solo = x[start:start + cell] @ y
             assert np.array_equal(out[start:start + cell], solo)
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "row-strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_layout_each_block_bitwise_equals_solo(self, layout, dtype):
+        # Each block must be the solo GEMM of x's own block, strides and
+        # all, with a ragged tail; the weight is transposed, as
+        # nn.Linear's is.
+        cell, rows = 8, 8 * 12 + 5
+        x = RNG.normal(size=(rows, 16)).astype(dtype)
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        elif layout == "row-strided":
+            x = RNG.normal(size=(2 * rows, 16)).astype(dtype)[::2]
+        y = RNG.normal(size=(32, 16)).astype(dtype).T
+        out = blocked_matmul(x, y, cell)
+        assert out.shape == (rows, 32) and out.dtype == dtype
+        for start in range(0, rows, cell):
+            solo = x[start:start + cell] @ y
+            assert np.array_equal(out[start:start + cell], solo)
+
     def test_ragged_tail_equals_smaller_solo(self):
         x = RNG.normal(size=(10, 6)).astype(np.float32)   # 3 blocks of 4,4,2
         y = RNG.normal(size=(6, 5)).astype(np.float32)

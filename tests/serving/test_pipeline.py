@@ -7,6 +7,7 @@ every request, while the breaker, quorum, hot-swap and health machinery
 keep their semantics under true concurrency.
 """
 
+import contextlib
 import threading
 import time
 
@@ -16,6 +17,9 @@ import pytest
 from repro.concurrency import lock_order_mode
 from repro.core import Ensemble
 from repro.models import ModelFactory, ResNetCIFAR
+from repro.nn import predict_probs
+from repro.ops.batching import batch_cell, batch_cell_rows
+from repro.ops.fastpath import fastpath_enabled
 from repro.serving import (
     CLOSED,
     HALF_OPEN,
@@ -27,9 +31,12 @@ from repro.serving import (
     ServiceUnavailable,
 )
 from repro.serving.executor import MemberExecutor
-from repro.serving.faults import FlakyMember, ManualClock
+from repro.serving.faults import DyingMember, FlakyMember, ManualClock
+from repro.serving.members import run_members
 from repro.serving.scheduler import MicroBatcher, QueueFull
 from repro.serving.transport import PipelineConfig, ServingPipeline
+from repro.tensor import ArrayView, inference_mode, is_grad_enabled
+from repro.tensor.ops import softmax
 
 from tests.serving.conftest import sub_ensemble
 
@@ -702,3 +709,100 @@ class TestExecutorSemantics:
             with pytest.raises(ServiceUnavailable):
                 pipeline.result(ticket, timeout=5.0)
         assert service.health().requests_unavailable == 1
+
+
+# ----------------------------------------------------------------------
+def _thread_state():
+    return (fastpath_enabled(), is_grad_enabled(), batch_cell_rows())
+
+
+def _parent_predict_probs(model, x, batch_size):
+    """``predict_probs`` as it was before single chunks skipped the
+    concatenation: every chunk under a fresh inference mode, joined."""
+    outputs = []
+    with inference_mode():
+        for start in range(0, len(x), batch_size):
+            logits = model(ArrayView(np.asarray(x[start:start + batch_size])))
+            outputs.append(softmax(logits, axis=1).data)
+    return np.concatenate(outputs, axis=0)
+
+
+class TestRosterScope:
+    """The serial loop enters inference mode and the batch cell once per
+    roster; a pool task enters its own.  Either way the thread leaves
+    with the state it came in with, whatever its members did."""
+
+    @staticmethod
+    def faulty_roster(factory):
+        """Members that raise, answer NaN, die, and answer."""
+        service, _ = make_service(factory)
+        members, _ = service.roster_snapshot()
+        members[0].model = FlakyMember(members[0].model)
+        members[1].model = FlakyMember(members[1].model, mode="nan")
+        members[2].model = DyingMember(members[2].model, on_calls=(0,))
+        return members
+
+    @staticmethod
+    def check_skips(outputs, skipped, members):
+        assert [m.index for m, _ in outputs] == [members[3].index]
+        assert [(index, kind) for index, kind, _ in skipped] == [
+            (member.index, "fault") for member in members[:3]]
+        assert "member task died" in skipped[2][2]
+
+    @pytest.mark.parametrize("prior", ["default", "cell", "inference"])
+    @pytest.mark.parametrize("cell", [None, 2])
+    def test_serial_roster_restores_thread_state(self, factory, prior,
+                                                 cell):
+        members = self.faulty_roster(factory)
+        x = RNG.normal(size=(4, 4)).astype(np.float32)
+        scope = {"default": contextlib.nullcontext(),
+                 "cell": batch_cell(3),
+                 "inference": inference_mode()}[prior]
+        with scope:
+            before = _thread_state()
+            outputs, skipped, hit = run_members(
+                members, x, 256, time.monotonic, time.monotonic(),
+                cell=cell)
+            assert _thread_state() == before
+        assert _thread_state() == (False, True, None)
+        assert not hit
+        self.check_skips(outputs, skipped, members)
+
+    def test_deadline_pool_task_restores_thread_state(self, factory):
+        members = self.faulty_roster(factory)
+        x = RNG.normal(size=(4, 4)).astype(np.float32)
+        before = _thread_state()
+        # One pool thread runs every member task, then reports its state.
+        with MemberExecutor(workers=1) as executor:
+            outputs, skipped, hit = executor.run(
+                members, x, batch_size=256, deadline=60.0, cell=2)
+            pool_state = executor._pool.submit(_thread_state).result(
+                timeout=10.0)
+        assert not hit
+        self.check_skips(outputs, skipped, members)
+        assert pool_state == (False, True, None)
+        assert _thread_state() == before
+
+    def test_predict_probs_inside_inference_mode_matches(self, factory):
+        model = factory.build(rng=4)
+        x = RNG.normal(size=(10, 4)).astype(np.float32)
+        for batch_size in (256, 4):
+            outside = predict_probs(model, x, batch_size=batch_size)
+            with inference_mode():
+                inside = predict_probs(model, x, batch_size=batch_size)
+                assert _thread_state() == (True, False, None)
+            assert np.array_equal(inside, outside)
+
+    def test_multi_chunk_requests_match_the_concatenated_chunks(
+            self, factory):
+        service, _ = make_service(factory)
+        members, _ = service.roster_snapshot()
+        x = RNG.normal(size=(10, 4)).astype(np.float32)
+        outputs, skipped, _ = run_members(members, x, 4, time.monotonic,
+                                          time.monotonic())
+        assert skipped == [] and len(outputs) == len(members)
+        for member, probs in outputs:
+            expected = _parent_predict_probs(member.model, x, 4)
+            assert np.array_equal(probs, expected)
+            assert np.array_equal(
+                predict_probs(member.model, x, batch_size=4), expected)
