@@ -12,12 +12,10 @@ training set each round and folds the weight into the loss (Eq. 10 has the
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional
 
 import numpy as np
 
-from repro.ops.fastpath import fastpath_enabled
 from repro.ops.fused import fused_enabled
 from repro.tensor import (
     ArrayView,
@@ -25,7 +23,6 @@ from repro.tensor import (
     apply,
     default_dtype,
     inference_mode,
-    is_grad_enabled,
 )
 from repro.tensor.ops import log_softmax, softmax
 
@@ -116,18 +113,17 @@ def predict_probs(model, x, batch_size: int = 256) -> np.ndarray:
     execute on raw arrays wrapped in graph-free ``ArrayView`` tensors, so
     no autograd bookkeeping (closures, parent links, contexts) is built.
     Ensemble evaluation calls this for every member every round, which is
-    why the fast path exists.  A caller already inside inference mode
-    (the serving member loop enters it once per roster) is not made to
-    enter it again.
+    why the fast path exists.  Inside a caller's inference mode (the
+    serving member loop enters it once per roster) the nested entry is
+    free.
 
     Inference mode is also this thread's eval mode: ``BatchNorm`` and
     ``Dropout`` behave as in eval mode without any module's ``training``
     flag changing, so concurrent calls on a shared model (the serving
     executor's) need no lock and leave the model's mode as it was.
     """
-    inside = fastpath_enabled() and not is_grad_enabled()
     outputs = []
-    with contextlib.nullcontext() if inside else inference_mode():
+    with inference_mode():
         for start in range(0, len(x), batch_size):
             chunk = np.asarray(x[start:start + batch_size])
             inputs = chunk if np.issubdtype(chunk.dtype, np.integer) else ArrayView(chunk)

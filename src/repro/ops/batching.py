@@ -76,19 +76,23 @@ def blocked_matmul(x: np.ndarray, y: np.ndarray, cell: int) -> np.ndarray:
     """``x @ y`` computed in independent ``cell``-row blocks of ``x``.
 
     Equivalent in exact arithmetic; in floating point each block is
-    bit-identical to a standalone ``x[i:i+cell] @ y``.  A trailing
-    partial block runs at its own (smaller) row count — matching the
-    solo execution of a request that genuinely had fewer rows.
+    bit-identical to a standalone ``x[i:i+cell] @ y``.  The whole blocks
+    run as one stacked matmul over a ``(blocks, cell, K)`` view of ``x``:
+    numpy issues one GEMM per leading index, each with the block's own
+    shape and strides, so the per-block kernels are the solo ones without
+    a Python loop around them.  A trailing partial block runs at its own
+    (smaller) row count — matching the solo execution of a request that
+    genuinely had fewer rows.
     """
     n = x.shape[0]
     if n <= cell:
         return x @ y
-    first = x[:cell] @ y
-    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
-    out[:cell] = first
-    for start in range(cell, n, cell):
-        out[start:start + cell] = x[start:start + cell] @ y
-    return out
+    full = n - n % cell
+    head = np.matmul(x[:full].reshape(full // cell, cell, x.shape[1]), y)
+    head = head.reshape(full, y.shape[1])
+    if full == n:
+        return head
+    return np.concatenate((head, x[full:] @ y))
 
 
 def cell_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

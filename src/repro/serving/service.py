@@ -278,17 +278,28 @@ class InferenceService:
         with self._swap_lock:
             return self.members, self._alpha_configured
 
+    @staticmethod
+    def vote(outputs: List[Tuple[ServingMember, np.ndarray]]) -> np.ndarray:
+        """Eq. 16 over completed member outputs (non-empty, roster order)."""
+        return alpha_vote([member.alpha for member, _ in outputs],
+                          [probs for _, probs in outputs])
+
     def finish(self, outputs: List[Tuple[ServingMember, np.ndarray]],
                skipped: List[Tuple[int, str, str]],
                alpha_configured: float, deadline_hit: bool,
-               latency: float, brownout_level: int = 0) -> ServedPrediction:
+               latency: float, brownout_level: int = 0,
+               combined: Optional[np.ndarray] = None) -> ServedPrediction:
         """Aggregate completed member outputs into one answer.
 
         Eq. 16 via :func:`~repro.core.ensemble.alpha_vote`, so the answer
         is bit-identical to :meth:`Ensemble.predict_probs` over the
         completed members whichever execution path (serial loop, thread
         pool, micro-batch) produced them.  ``outputs`` must be in roster
-        order.  Raises :class:`ServiceUnavailable` (and counts it) when
+        order.  ``combined``, when given, is :meth:`vote` of ``outputs``
+        taken earlier: the micro-batch votes its whole stack once, and
+        the vote is elementwise, so a request's row slice of it is
+        bitwise the vote of that request's sliced outputs.  Raises
+        :class:`ServiceUnavailable` (and counts it) when ``outputs`` is
         empty.
         """
         if not outputs:
@@ -298,7 +309,8 @@ class InferenceService:
             raise ServiceUnavailable(f"no member produced an answer "
                                      f"({reasons})")
         alphas = np.asarray([member.alpha for member, _ in outputs])
-        combined = alpha_vote(alphas, [probs for _, probs in outputs])
+        if combined is None:
+            combined = self.vote(outputs)
         with self._stats_lock:
             self._served += 1
         mass = 1.0 if alpha_configured <= 0 else \

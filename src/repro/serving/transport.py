@@ -5,9 +5,9 @@ request path::
 
     submit() ──► MicroBatcher ──► MemberExecutor ──► finish() ──► Ticket
     (validate,   (coalesce         (members in turn   (Eq. 16 α
-     admission    same-size         on the serving     aggregate,
-     control)     requests)         thread, blocked    per request)
-                                    GEMMs)
+     admission    same-size         on the serving     vote, once per
+     control)     requests)         thread, blocked    batch; answers
+                                    GEMMs)             per request)
 
 * :meth:`submit` validates the payload (the service's counters see every
   rejection), enqueues it and returns a :class:`Ticket`;
@@ -21,9 +21,10 @@ request path::
 **Bit-parity.**  A batch stacks only same-row-count requests (the
 scheduler's invariant) and each member evaluates the stack under
 :func:`repro.ops.batching.batch_cell`, so every request's rows travel
-through exactly the GEMM geometry of a solo call; slicing the stacked
-softmax rows back apart and aggregating per request through
-:meth:`InferenceService.finish` therefore answers **bit-identically** to
+through exactly the GEMM geometry of a solo call.  The α vote
+(:meth:`InferenceService.vote`) is elementwise, so the batch votes its
+whole stack once and each request's row slice of that vote, answered
+through :meth:`InferenceService.finish`, is **bit-identical** to
 ``service.predict`` for that request alone.  The property test asserts
 equality with ``==``, not ``allclose``.
 
@@ -371,6 +372,8 @@ class ServingPipeline:
                 # the stack mid-request and change the GEMM geometry.
                 batch_size=len(stacked),
                 cell=rows if len(batch) > 1 else None)
+            # One vote over the whole stack, sliced per request below.
+            combined = self.service.vote(outputs) if outputs else None
         except BaseException as error:  # noqa: BLE001 — routed to waiters
             for pending in batch:
                 self._fail_ticket(pending.ticket, error)
@@ -384,6 +387,8 @@ class ServingPipeline:
                     sliced, list(skipped), alpha_configured,
                     deadline_hit=False,
                     latency=self.clock() - pending.enqueued,
-                    brownout_level=level))
+                    brownout_level=level,
+                    combined=None if combined is None
+                    else combined[lo:hi]))
             except BaseException as error:  # noqa: BLE001
                 self._fail_ticket(pending.ticket, error)

@@ -78,8 +78,13 @@ def inference_mode():
     graph-free tensors created without any autograd bookkeeping — so a
     forward pass is essentially a chain of raw numpy kernel calls.
     ``BatchNorm`` and ``Dropout`` run as in eval mode on this thread,
-    without touching any module's ``training`` flag.
+    without touching any module's ``training`` flag.  Entering it on a
+    thread already inside only yields: there is no state to set or
+    restore.
     """
+    if _fastpath_mod.fastpath_enabled() and not _state.grad_enabled:
+        yield
+        return
     with no_grad(), _fastpath_mod._fastpath(True):
         yield
 

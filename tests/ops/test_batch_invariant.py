@@ -21,8 +21,11 @@ RNG = np.random.default_rng(7)
 
 
 class TestBlockedMatmul:
+    # The last two: shapes where one GEMM over the whole stack does not
+    # give the per-block bits on OpenBLAS (gemv for 1-row blocks, long K).
     @pytest.mark.parametrize("cell,blocks,k,n", [
         (1, 7, 5, 3), (4, 4, 16, 8), (8, 16, 33, 10), (16, 3, 64, 64),
+        (1, 16, 256, 10), (8, 16, 1000, 10),
     ])
     def test_each_block_bitwise_equals_solo(self, cell, blocks, k, n):
         x = RNG.normal(size=(cell * blocks, k)).astype(np.float32)

@@ -122,6 +122,43 @@ class TestBitParity:
             assert not answer.deadline_hit
         pipeline.close()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stack_vote_rows_bitwise_equal_request_votes(self, factory,
+                                                         dtype):
+        # A micro-batch votes its whole stack once and slices the answer:
+        # the vote is elementwise, so each slice is the request's vote.
+        service, _ = make_service(factory, members=5)
+        members, _ = service.roster_snapshot()
+        rows, requests = 3, 7
+        outputs = [(member, RNG.dirichlet(np.ones(6), size=rows * requests)
+                    .astype(dtype)) for member in members]
+        stacked = service.vote(outputs)
+        assert stacked.dtype == dtype
+        for lo in range(0, rows * requests, rows):
+            sliced = [(member, probs[lo:lo + rows])
+                      for member, probs in outputs]
+            assert np.array_equal(stacked[lo:lo + rows],
+                                  service.vote(sliced))
+
+    def test_degraded_batch_bitwise_equal_solo(self, factory):
+        # A member lost to a fault leaves the batch's one vote, as it
+        # leaves each solo vote.
+        service, _ = make_service(factory)
+        members, _ = service.roster_snapshot()
+        members[1].model = FlakyMember(members[1].model)
+        requests = [RNG.normal(size=(8, 4)).astype(np.float32)
+                    for _ in range(6)]
+        solo = [service.predict(x) for x in requests]
+        pipeline = ServingPipeline(
+            service, PipelineConfig(workers=0)).start(pump=False)
+        tickets = [pipeline.submit(x) for x in requests]
+        assert pipeline.batcher.pump_once() == len(requests)
+        for ticket, expected in zip(tickets, solo):
+            answer = pipeline.result(ticket)
+            assert answer.members_used == expected.members_used == [0, 2, 3]
+            assert np.array_equal(answer.probs, expected.probs)
+        pipeline.close()
+
 
 # ----------------------------------------------------------------------
 class TestTransportSurface:

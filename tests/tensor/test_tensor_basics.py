@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, is_grad_enabled, no_grad
+from repro.ops.fastpath import _fastpath, fastpath_enabled
+from repro.tensor import (
+    ArrayView,
+    Tensor,
+    inference_mode,
+    is_grad_enabled,
+    no_grad,
+)
 
 
 class TestConstruction:
@@ -107,6 +114,47 @@ class TestNoGrad:
         assert not y.requires_grad
         z = y * 5.0
         assert not z.requires_grad
+
+
+def _mode():
+    return fastpath_enabled(), is_grad_enabled()
+
+
+class TestInferenceMode:
+    def test_sets_and_restores_state(self):
+        assert _mode() == (False, True)
+        with inference_mode():
+            assert _mode() == (True, False)
+            assert isinstance(Tensor(np.ones(2)) * 2.0, ArrayView)
+        assert _mode() == (False, True)
+
+    def test_nested_entry_keeps_outer_scope(self):
+        with inference_mode():
+            with inference_mode():
+                assert _mode() == (True, False)
+            assert _mode() == (True, False)
+        assert _mode() == (False, True)
+
+    def test_nested_entry_survives_a_raise(self):
+        with inference_mode():
+            with pytest.raises(RuntimeError):
+                with inference_mode():
+                    raise RuntimeError("member fault")
+            assert _mode() == (True, False)
+        assert _mode() == (False, True)
+
+    def test_inside_no_grad_still_enters_fast_path(self):
+        with no_grad():
+            with inference_mode():
+                assert _mode() == (True, False)
+            assert _mode() == (False, False)
+
+    def test_fast_path_alone_is_not_inference_mode(self):
+        # Only fast path *and* no grad together short-circuit an entry.
+        with _fastpath(True):
+            with inference_mode():
+                assert _mode() == (True, False)
+            assert _mode() == (True, True)
 
 
 class TestBroadcasting:
