@@ -1,4 +1,4 @@
-"""Op-layer micro-benchmarks — per-op µs, fused-vs-unfused, EDDE rounds.
+"""Op-layer micro-benchmarks — per-op µs and fused-vs-unfused kernels.
 
 Unlike the ``bench_table*``/``bench_fig*`` harnesses (which regenerate
 paper artefacts), this one measures the op layer itself:
@@ -8,10 +8,12 @@ paper artefacts), this one measures the op layer itself:
   reports during a real fit);
 * the fused ``softmax_cross_entropy`` / ``edde_loss`` kernels and the
   one-op ``nn.Linear`` against the multi-node chains they replace — the
-  one-op path must win;
-* wall-clock seconds per EDDE boosting round on the benchmark MLP config,
-  measured through a one-cell grid (the ``method`` runner reports
-  ``round_seconds`` in the run record's metadata).
+  one-op path must win.  Each sample times the two paths back to back,
+  alternating which runs first, so a host stall hits one pair rather
+  than a whole block of one path's samples.
+
+Training speed end to end is the ``train-resnet`` workload of
+``benchmarks/e2e``.
 
 Results land in ``results/BENCH_ops.json`` (machine-readable) and
 ``results/bench_ops.txt`` (human-readable).  Runs at the library-default
@@ -23,16 +25,12 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from _common import emit, run_bench_grid, run_once, write_json
+from _common import emit, run_once, write_json
 
 from repro.analysis import format_table
 # The fused edde_loss kernel is parity-tested against exactly this
 # unfused reference chain, so the micro-bench must call it directly.
 from repro.core.losses import diversity_driven_loss  # repro-lint: disable=RL001 (fused-vs-unfused reference chain)
-from repro.data.synthetic_images import ImageConfig, make_image_dataset
-from repro.experiments.grid import GridSpec, scenario_scope
-from repro.experiments.protocol import Scenario
-from repro.models import MLP, ModelFactory
 from repro.nn import Linear
 from repro.nn import functional as F
 from repro.nn.losses import cross_entropy
@@ -95,14 +93,24 @@ def _bench_micro(repeats: int = 20) -> dict:
 # ----------------------------------------------------------------------
 # Fused kernels vs the unfused chains they replace.
 
-def _median_seconds(fn, repeats: int = 30) -> float:
-    fn()  # warm-up
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
+def _clock(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def _paired_medians(one_op, chain, repeats: int = 30):
+    """Median seconds of two paths, each a callable returning one sample.
+
+    Sample ``i`` runs both paths back to back, ``one_op`` first on even
+    ``i`` and ``chain`` first on odd ``i``.
+    """
+    one_op(), chain()  # warm-up
+    samples = {one_op: [], chain: []}
+    for i in range(repeats):
+        for path in ((one_op, chain) if i % 2 == 0 else (chain, one_op)):
+            samples[path].append(path())
+    return float(np.median(samples[one_op])), float(np.median(samples[chain]))
 
 
 def _bench_fused(batch: int = 256, classes: int = 100) -> dict:
@@ -116,6 +124,10 @@ def _bench_fused(batch: int = 256, classes: int = 100) -> dict:
         logits = Tensor(logits_data, requires_grad=True)
         loss_fn(logits).backward()
 
+    def sample(loss_fn, fused):
+        with use_fused(fused):
+            return _clock(step, loss_fn)
+
     cases = {
         "softmax_cross_entropy":
             lambda lg: cross_entropy(lg, labels, weights),
@@ -125,10 +137,8 @@ def _bench_fused(batch: int = 256, classes: int = 100) -> dict:
     }
     results = {}
     for name, loss_fn in cases.items():
-        with use_fused(True):
-            fused = _median_seconds(lambda: step(loss_fn))
-        with use_fused(False):
-            unfused = _median_seconds(lambda: step(loss_fn))
+        fused, unfused = _paired_medians(lambda: sample(loss_fn, True),
+                                         lambda: sample(loss_fn, False))
         results[name] = {
             "fused_us": fused * 1e6,
             "unfused_us": unfused * 1e6,
@@ -157,49 +167,15 @@ def _bench_linear(rows: int = 16, features=(16, 32)) -> dict:
 
     results = {}
     for mode, run in (("inference", infer), ("train step", train)):
-        one_op = _median_seconds(lambda: run(layer), repeats=200)
-        three = _median_seconds(lambda: run(chain), repeats=200)
+        one_op, three = _paired_medians(lambda: _clock(run, layer),
+                                        lambda: _clock(run, chain),
+                                        repeats=200)
         results[f"linear ({mode})"] = {
             "fused_us": one_op * 1e6,
             "unfused_us": three * 1e6,
             "speedup": three / one_op,
         }
     return results
-
-
-# ----------------------------------------------------------------------
-# Seconds per EDDE boosting round, through a one-cell grid.
-
-def _bench_scenario() -> Scenario:
-    config = ImageConfig(num_classes=4, image_size=8, train_size=240,
-                         test_size=120, noise_std=0.2, jitter=1,
-                         occlusion_prob=0.1, mix_prob=0.0, label_noise=0.0,
-                         prototypes_per_class=1, name="bench-ops-images")
-    split = make_image_dataset(config, rng=11)
-    input_dim = int(np.prod(split.train.x.shape[1:]))
-    factory = ModelFactory(MLP, input_dim=input_dim,
-                           num_classes=split.train.num_classes, hidden=(32,))
-    return Scenario(name="bench-ops", split=split, factory=factory,
-                    ensemble_size=3, epochs_per_model=3,
-                    edde_first_epochs=3, edde_later_epochs=2,
-                    lr=0.05, batch_size=32, gamma=0.2, beta=0.5)
-
-
-def _bench_edde_rounds() -> dict:
-    spec = GridSpec(name="bench_ops_edde_rounds",
-                    factors={"method": ["edde"], "scenario": ["bench-ops"],
-                             "seed": [3]},
-                    base={"num_models": 3},
-                    checkpoint=False)
-    with scenario_scope("bench-ops", _bench_scenario()):
-        grid = run_bench_grid(spec)
-    record = grid.one(method="edde")
-    rounds = [float(s) for s in record.meta.get("round_seconds", [])]
-    return {
-        "round_seconds": rounds,
-        "total_seconds": sum(rounds),
-        "final_accuracy": float(record.metrics["final_accuracy"]),
-    }
 
 
 def _render(payload: dict) -> str:
@@ -214,11 +190,7 @@ def _render(payload: dict) -> str:
     fused = format_table(["kernel", "fused µs", "unfused µs", "speedup"],
                          fused_rows, title="Fused kernels vs unfused chains "
                                            "(forward+backward)")
-    rounds = " ".join(f"{s:.2f}s" for s in payload["edde"]["round_seconds"])
-    return (f"{micro}\n\n{fused}\n\n"
-            f"EDDE rounds (MLP benchmark config): {rounds} "
-            f"(total {payload['edde']['total_seconds']:.2f}s, "
-            f"accuracy {payload['edde']['final_accuracy']:.3f})")
+    return f"{micro}\n\n{fused}"
 
 
 def _run_bench_ops() -> dict:
@@ -226,7 +198,6 @@ def _run_bench_ops() -> dict:
         "dtype": np.dtype(default_dtype()).name,
         "ops": _bench_micro(),
         "fused": _bench_fused(),
-        "edde": _bench_edde_rounds(),
     }
 
 

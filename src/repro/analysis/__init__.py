@@ -13,13 +13,12 @@ from repro.analysis.similarity import (
     render_heatmap,
 )
 from repro.analysis.curves import (
-    best_at_budget,
     curve_table,
     epochs_to_reach,
     render_curves,
     speedup_over,
 )
-from repro.analysis.reporting import format_table, paper_vs_measured, percent
+from repro.analysis.reporting import format_table, percent
 
 __all__ = [
     "BiasVariance",
@@ -32,10 +31,8 @@ __all__ = [
     "mean_offdiagonal_similarity",
     "epochs_to_reach",
     "speedup_over",
-    "best_at_budget",
     "render_curves",
     "curve_table",
     "format_table",
     "percent",
-    "paper_vs_measured",
 ]

@@ -40,16 +40,6 @@ def speedup_over(fast: FitResult, slow: FitResult) -> Optional[float]:
     return budget_slow / budget_fast
 
 
-def best_at_budget(results: Sequence[FitResult], budget: int) -> Tuple[str, float]:
-    """Method name and accuracy of the best curve within an epoch budget."""
-    best_name, best_acc = "", -1.0
-    for result in results:
-        acc = result.accuracy_at_budget(budget)
-        if acc is not None and acc > best_acc:
-            best_name, best_acc = result.method, acc
-    return best_name, best_acc
-
-
 def render_curves(results: Sequence[FitResult], width: int = 72,
                   height: int = 18, title: str = "") -> str:
     """ASCII line chart of every method's accuracy-vs-epochs curve."""

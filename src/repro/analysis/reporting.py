@@ -7,7 +7,7 @@ reference values alongside the measured ones so the shape comparison
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -46,14 +46,3 @@ def percent(value: float) -> str:
     if value != value:  # NaN
         return "—"
     return f"{100.0 * value:.2f}%"
-
-
-def paper_vs_measured(headers: Sequence[str],
-                      rows: Sequence[Sequence],
-                      title: str,
-                      note: Optional[str] = None) -> str:
-    """Standard bench output: a table plus an optional protocol note."""
-    text = format_table(headers, rows, title=title)
-    if note:
-        text += f"\nNote: {note}"
-    return text

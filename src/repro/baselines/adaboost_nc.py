@@ -33,7 +33,7 @@ import numpy as np
 from repro.baselines.base import BaselineConfig, EnsembleMethod
 from repro.core.callbacks import Callback
 from repro.core.checkpointing import FaultTolerance
-from repro.core.diversity import correctness_sign
+from repro.core.diversity import hard_ambiguity
 from repro.core.engine import EnsembleEngine, RoundOutcome
 from repro.core.ensemble import alpha_vote
 from repro.core.results import FitResult
@@ -127,11 +127,7 @@ class AdaBoostNC(EnsembleMethod):
     def _penalty(member_train_probs, alphas, labels) -> np.ndarray:
         """``p_t(i) = 1 − |amb_t(i)|`` from the hard correct/incorrect coding."""
         ensemble_predictions = alpha_vote(alphas, member_train_probs).argmax(axis=1)
-        ensemble_sign = correctness_sign(ensemble_predictions, labels)
         alpha_total = float(np.sum(alphas)) + _EPS
-        amb = np.zeros(len(labels), dtype=np.float64)
-        for probs, alpha in zip(member_train_probs, alphas):
-            member_sign = correctness_sign(probs.argmax(axis=1), labels)
-            amb += alpha * (ensemble_sign - member_sign)
-        amb = 0.5 * amb / alpha_total        # now in [-1, 1]
-        return 1.0 - np.abs(amb)
+        amb = hard_ambiguity([p.argmax(axis=1) for p in member_train_probs],
+                             ensemble_predictions, labels, alphas)
+        return 1.0 - np.abs(amb / alpha_total)        # amb / α mass ∈ [-1, 1]

@@ -3,8 +3,7 @@
 Each base model is randomly initialised and trained on a bootstrap sample
 of the training set; predictions are combined by (unweighted) softmax
 averaging — the "Averaging" combiner the paper attributes to bagging-style
-deep ensembles.  A majority-vote combiner is also exposed via the core
-package for completeness.
+deep ensembles.
 """
 
 from __future__ import annotations

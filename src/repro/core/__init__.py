@@ -12,7 +12,7 @@ from repro.core.diversity import (
     similarity_matrix,
 )
 from repro.core.losses import diversity_driven_loss, diversity_loss_grad_reference
-from repro.core.ensemble import Ensemble, alpha_vote, majority_vote
+from repro.core.ensemble import Ensemble, alpha_vote
 from repro.core.boosting import (
     bias_per_sample,
     initial_model_weight,
@@ -26,10 +26,9 @@ from repro.core.transfer import (
     beta_probe,
     leaf_modules,
     select_beta,
-    transfer_fraction_possible,
     transfer_parameters,
 )
-from repro.core.trainer import TrainingConfig, default_loss, evaluate_model, train_model
+from repro.core.trainer import TrainingConfig, default_loss, train_model
 from repro.core.results import CurvePoint, FitResult, MemberRecord
 from repro.core.callbacks import (
     Callback,
@@ -81,7 +80,6 @@ __all__ = [
     "MemberRecord",
     "TrainingConfig",
     "train_model",
-    "evaluate_model",
     "default_loss",
     "pairwise_distance",
     "pairwise_diversity",
@@ -92,14 +90,12 @@ __all__ = [
     "diversity_driven_loss",
     "diversity_loss_grad_reference",
     "alpha_vote",
-    "majority_vote",
     "similarity_per_sample",
     "bias_per_sample",
     "update_sample_weights",
     "model_weight",
     "initial_model_weight",
     "transfer_parameters",
-    "transfer_fraction_possible",
     "leaf_modules",
     "select_beta",
     "beta_probe",

@@ -97,7 +97,7 @@ def hard_ambiguity(member_predictions: Sequence[np.ndarray],
     ``amb_i = ½ Σ_t α_t (H_i − h_{t,i})`` with ``H_i, h_{t,i} ∈ {+1, −1}``.
     The paper criticises this measure for discarding the softmax structure
     and admitting no gradient; it is kept here to drive the AdaBoost.NC
-    baseline and to contrast against Eq. 2 in the analysis benches.
+    baseline's penalty.
     """
     if len(member_predictions) != len(alphas):
         raise ValueError("one alpha per member prediction is required")

@@ -81,9 +81,6 @@ class PredictionCache:
         self._splits[name] = (x, y)
         self._member_probs[name] = []
 
-    def has_split(self, name: str) -> bool:
-        return name in self._splits
-
     def split(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         return self._splits.get(name)
 

@@ -130,22 +130,3 @@ class Ensemble:
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
         """Ensemble top-1 accuracy."""
         return accuracy(self.predict_probs(x, batch_size=batch_size), y)
-
-    def member_accuracies(self, x: np.ndarray, y: np.ndarray,
-                          batch_size: int = 256) -> List[float]:
-        """Individual accuracy of each base model (Table IV's 'average accuracy')."""
-        return [accuracy(probs, y) for probs in self.member_probs(x, batch_size)]
-
-    def snapshot_alphas(self) -> np.ndarray:
-        return np.asarray(self.alphas)
-
-
-def majority_vote(member_probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Plurality vote over member hard predictions (the Bagging variant)."""
-    if not len(member_probs):
-        raise ValueError("no member predictions")
-    votes = np.stack([probs.argmax(axis=1) for probs in member_probs])
-    num_classes = member_probs[0].shape[1]
-    counts = np.zeros((num_classes, votes.shape[1]), dtype=np.int64)
-    np.add.at(counts, (votes, np.arange(votes.shape[1])), 1)
-    return counts.argmax(axis=0)

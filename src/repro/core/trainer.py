@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.loader import DataLoader
-from repro.nn import accuracy, cross_entropy
+from repro.nn import cross_entropy
 from repro.nn.module import Module
 from repro.optim import (
     ConstantLR,
@@ -174,10 +174,3 @@ def train_model(
         model.train()
     model.eval()
     return logger
-
-
-def evaluate_model(model: Module, dataset: Dataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy of a single model on a dataset."""
-    from repro.nn import predict_probs
-
-    return accuracy(predict_probs(model, dataset.x, batch_size=batch_size), dataset.y)

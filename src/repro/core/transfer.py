@@ -100,17 +100,6 @@ def transfer_parameters(teacher: Module, student: Module, beta: float,
     return transferred
 
 
-def transfer_fraction_possible(model: Module) -> List[float]:
-    """Cumulative parameter fractions at each module boundary.
-
-    Useful for picking β values that land exactly on layer boundaries
-    (the β sweep in Fig. 5 effectively moves along these points).
-    """
-    leaves = leaf_modules(model)
-    counts = np.array([_module_param_count(m) for m in leaves], dtype=np.float64)
-    return list(np.cumsum(counts) / counts.sum())
-
-
 @dataclass
 class BetaProbeResult:
     """Outcome of probing one β value (one point on Fig. 5)."""

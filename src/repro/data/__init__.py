@@ -6,7 +6,6 @@ from repro.data.drift import (
     DriftPhase,
     DriftSchedule,
     DriftStream,
-    make_drift_stream,
 )
 from repro.data.loader import DataLoader, bootstrap_sample, weighted_sample
 from repro.data.synthetic_images import (
@@ -24,7 +23,7 @@ from repro.data.synthetic_text import (
     make_text_dataset,
 )
 from repro.data.augment import cifar_augment, random_crop, random_flip
-from repro.data.folds import merge_folds, split_folds, train_validation_split
+from repro.data.folds import merge_folds, split_folds
 
 __all__ = [
     "Dataset",
@@ -36,7 +35,6 @@ __all__ = [
     "DriftPhase",
     "DriftSchedule",
     "DriftStream",
-    "make_drift_stream",
     "ImageConfig",
     "TextConfig",
     "build_prototypes",
@@ -52,5 +50,4 @@ __all__ = [
     "random_flip",
     "split_folds",
     "merge_folds",
-    "train_validation_split",
 ]

@@ -249,9 +249,3 @@ class DriftStream:
     def __iter__(self) -> Iterator[DriftBatch]:
         while self._cursor < self.schedule.total_batches:
             yield self.next_batch()
-
-
-def make_drift_stream(config: ImageConfig, schedule: DriftSchedule,
-                      rng: RngLike = None) -> DriftStream:
-    """Convenience constructor mirroring ``make_image_dataset``'s shape."""
-    return DriftStream(config, schedule, rng=rng)

@@ -39,18 +39,3 @@ def merge_folds(folds: List[Dataset], name: str = "merged") -> Dataset:
         num_classes=folds[0].num_classes,
         name=name,
     )
-
-
-def train_validation_split(dataset: Dataset, validation_fraction: float = 0.2,
-                           rng: RngLike = None):
-    """Simple holdout split, proportionally sized."""
-    if not 0.0 < validation_fraction < 1.0:
-        raise ValueError("validation_fraction must be in (0, 1)")
-    rng = new_rng(rng)
-    order = rng.permutation(len(dataset))
-    cut = int(round(len(dataset) * (1.0 - validation_fraction)))
-    if cut in (0, len(dataset)):
-        raise ValueError("validation_fraction leaves an empty split")
-    train = dataset.subset(order[:cut], name=f"{dataset.name}[train]")
-    validation = dataset.subset(order[cut:], name=f"{dataset.name}[val]")
-    return train, validation

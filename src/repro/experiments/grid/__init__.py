@@ -51,7 +51,6 @@ from repro.experiments.grid.spec import (
     GridSpec,
     GridSpecError,
     RunSpec,
-    expand_runs,
     stable_digest,
 )
 from repro.experiments.replication import (
@@ -65,7 +64,7 @@ __all__ = [
     "GridStateError", "RunContext", "RunOutput", "RunRecord", "RunSpec",
     "aggregate_records", "beta_teacher_rng", "collect_records",
     "compare_replicated", "emit",
-    "ensure_results_dir", "execute_run", "expand_runs", "find_group",
+    "ensure_results_dir", "execute_run", "find_group",
     "grid_result", "record_fit_result", "register_collector",
     "register_runner", "register_scenario", "resolve_collector",
     "resolve_runner", "resolve_scenario", "run_grid", "run_replicated",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Optional
+from typing import Any
 
 
 def default_results_dir() -> pathlib.Path:
@@ -55,16 +55,6 @@ def write_json(name: str, payload: Any, directory=None) -> pathlib.Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
-
-
-def read_json(name: str, directory=None) -> Optional[Any]:
-    """Load a previously archived ``<name>.json`` (None if absent/corrupt)."""
-    path = (pathlib.Path(directory) if directory is not None
-            else default_results_dir()) / f"{name}.json"
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 def write_grid_artifact(result, directory=None) -> pathlib.Path:

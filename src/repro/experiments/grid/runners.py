@@ -158,7 +158,7 @@ def beta_teacher_rng(run: RunSpec) -> np.random.Generator:
     Derived from a cell that excludes every runner-consumed factor
     (:data:`BETA_PROBE_CONSUMED`), so grid cells differing only in β —
     or in probe length — retrain a bit-identical teacher on an identical
-    fold split, exactly like the shared teacher of ``run_beta_sweep``.
+    fold split, as one shared teacher would.
     """
     return run_rng(run, salt="beta-teacher", exclude=BETA_PROBE_CONSUMED)
 
@@ -238,7 +238,7 @@ def beta_probe_runner(run: RunSpec, context: RunContext) -> RunOutput:
     scenario = resolve_scenario(run.scenario, context.spec.data_seed)
     # The teacher's stream is β-free by construction: every β cell of one
     # (scenario, seed) group retrains the *same* teacher on the same fold
-    # split, exactly like run_beta_sweep, yet stays parallelizable.
+    # split, as one shared teacher would, yet stays parallelizable.
     teacher_rng = beta_teacher_rng(run)
     folds = split_folds(scenario.split.train, n_folds, rng=teacher_rng)
     train_folds, seen_fold, unseen_fold = folds[:-2], folds[-2], folds[-1]

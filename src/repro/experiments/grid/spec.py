@@ -283,8 +283,3 @@ class GridSpec:
             seed=int(assignment.get("seed", 0)),
             overrides=_freeze(overrides), runner=str(runner),
             collect=str(self.collect))
-
-
-def expand_runs(spec: GridSpec) -> List[RunSpec]:
-    """Module-level alias for :meth:`GridSpec.expand` (reads better in docs)."""
-    return spec.expand()

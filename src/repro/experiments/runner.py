@@ -1,20 +1,17 @@
-"""Experiment runners: one function per paper table/figure.
+"""Fit one method on a scenario under the scenario's protocol.
 
-Each runner takes a :class:`~repro.experiments.protocol.Scenario` plus an
-RNG seed and returns plain data structures that the corresponding
-``benchmarks/bench_*.py`` renders.  Keeping the runners inside the library
-(rather than in the benches) makes them importable from user code and from
-the test-suite.
+:func:`run_method` is the single dispatch from a method name to its
+trainer; the grid's ``method`` runner, the CLI and the examples all call
+it.  :func:`run_effectiveness` fits several methods at the scenario's
+equal budget (Tables II/III).  The paper's other tables and figures are
+grid specs over registered runners and collectors
+(:mod:`repro.experiments.grid`), rendered by ``benchmarks/bench_*.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.analysis.bias_variance import BiasVariance, zero_one_decomposition
-from repro.analysis.similarity import ensemble_div_h, ensemble_similarity_matrix
 from repro.baselines import (
     AdaBoostM1,
     AdaBoostNC,
@@ -36,9 +33,6 @@ from repro.core.checkpointing import (
     RetryPolicy,
 )
 from repro.core.results import FitResult
-from repro.core.transfer import BetaProbeResult, beta_probe
-from repro.data.folds import merge_folds, split_folds
-from repro.core.trainer import TrainingConfig, train_model
 from repro.experiments.protocol import Scenario
 from repro.utils.rng import RngLike, new_rng, spawn_rng
 
@@ -188,147 +182,3 @@ def run_effectiveness(scenario: Scenario,
     rng = new_rng(rng)
     return {method: run_method(method, scenario, rng=spawn_rng(rng))
             for method in methods}
-
-
-def run_diversity_analysis(scenario: Scenario, num_models: int = 8,
-                           rng: RngLike = 0) -> Dict[str, dict]:
-    """Table IV + Fig. 8: Snapshot vs EDDE vs AdaBoost.NC diversity.
-
-    The paper gives Snapshot and AdaBoost.NC a *larger* epoch budget (400)
-    than EDDE (250); the same ratio is kept here by letting EDDE's shorter
-    later cycles reduce its total.
-    """
-    rng = new_rng(rng)
-    test = scenario.split.test
-    outputs: Dict[str, dict] = {}
-
-    plans = {
-        "Snapshot Ensemble": ("snapshot", {"num_models": num_models}),
-        "EDDE": ("edde", {"num_models": num_models}),
-        "AdaBoost.NC": ("adaboost_nc", {"num_models": num_models}),
-    }
-    for label, (method, overrides) in plans.items():
-        result = run_method(method, scenario, rng=spawn_rng(rng), **overrides)
-        matrix = ensemble_similarity_matrix(result.ensemble, test.x,
-                                            max_models=num_models)
-        outputs[label] = {
-            "result": result,
-            "similarity_matrix": matrix,
-            "diversity": ensemble_div_h(result.ensemble, test.x,
-                                        max_models=num_models),
-            "average_accuracy": result.average_member_accuracy(),
-            "ensemble_accuracy": result.final_accuracy,
-            "increased_accuracy": result.increased_accuracy(),
-            "training_epochs": result.total_epochs,
-        }
-    return outputs
-
-
-def run_gamma_sweep(scenario: Scenario,
-                    gammas: Sequence[float] = (0.0, 0.1, 0.3, 0.5, 1.0),
-                    rng: RngLike = 0) -> Dict[float, FitResult]:
-    """Table V: ensemble accuracy as γ varies."""
-    rng = new_rng(rng)
-    seeds = [spawn_rng(rng) for _ in gammas]
-    return {gamma: run_method("edde", scenario, rng=seed, gamma=gamma)
-            for gamma, seed in zip(gammas, seeds)}
-
-
-def run_ablation(scenario: Scenario, rng: RngLike = 0,
-                 extended: bool = False) -> Dict[str, dict]:
-    """Table VI: EDDE vs its ablated variants.
-
-    ``extended=True`` adds two beyond-paper ablations flagged in DESIGN.md:
-    compounding weight updates from ``W_{t-1}`` and negative correlation
-    against only the previous *model* instead of the ensemble.
-    """
-    rng = new_rng(rng)
-    test = scenario.split.test
-
-    variants = {
-        "EDDE": {},
-        "EDDE (normal loss)": {"gamma": 0.0},
-        "EDDE (transfer all)": {"beta": 1.0},
-        "EDDE (transfer none)": {"beta": 0.0},
-    }
-    outputs: Dict[str, dict] = {}
-    for label, overrides in variants.items():
-        result = run_method("edde", scenario, rng=spawn_rng(rng), **overrides)
-        outputs[label] = _diversity_summary(result, test)
-
-    # AdaBoost.NC with full-weight transfer, at the paper's 2x budget ratio.
-    nc_result = run_method("adaboost_nc", scenario, rng=spawn_rng(rng),
-                           transfer=True)
-    outputs["AdaBoost.NC (transfer)"] = _diversity_summary(nc_result, test)
-
-    if extended:
-        from repro.experiments.variants import (
-            run_edde_correlate_previous_model,
-            run_edde_cumulative_weights,
-        )
-        cumulative = run_edde_cumulative_weights(scenario, rng=spawn_rng(rng))
-        outputs["EDDE (weights from W_{t-1})"] = _diversity_summary(cumulative, test)
-        prev_only = run_edde_correlate_previous_model(scenario, rng=spawn_rng(rng))
-        outputs["EDDE (correlate h_{t-1} only)"] = _diversity_summary(prev_only, test)
-    return outputs
-
-
-def _diversity_summary(result: FitResult, test) -> dict:
-    diversity = float("nan")
-    if len(result.ensemble) >= 2:
-        diversity = ensemble_div_h(result.ensemble, test.x)
-    return {
-        "result": result,
-        "ensemble_accuracy": result.final_accuracy,
-        "diversity": diversity,
-        "average_accuracy": result.average_member_accuracy(),
-    }
-
-
-def run_bias_variance(scenario: Scenario,
-                      methods: Sequence[str] = ("bans", "adaboost_nc",
-                                                "snapshot", "edde"),
-                      rng: RngLike = 0) -> List[BiasVariance]:
-    """Fig. 1: per-method bias/variance of base models at equal budget."""
-    rng = new_rng(rng)
-    test = scenario.split.test
-    points = []
-    for method in methods:
-        result = run_method(method, scenario, rng=spawn_rng(rng))
-        member_probs = result.ensemble.member_probs(test.x)
-        if len(member_probs) < 2:
-            continue
-        point = zero_one_decomposition(member_probs, test.y,
-                                       method=result.method)
-        points.append(point)
-    return points
-
-
-def run_beta_sweep(scenario: Scenario,
-                   betas: Sequence[float] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
-                   n_folds: int = 6,
-                   probe_epochs: int = 5,
-                   teacher_epochs: Optional[int] = None,
-                   rng: RngLike = 0) -> List[BetaProbeResult]:
-    """Fig. 5: student accuracy on the teacher-seen vs unseen fold per β."""
-    rng = new_rng(rng)
-    folds = split_folds(scenario.split.train, n_folds, rng=rng)
-    train_folds, seen_fold, unseen_fold = folds[:-2], folds[-2], folds[-1]
-
-    teacher = scenario.factory.build(rng=rng)
-    teacher_set = merge_folds(train_folds + [seen_fold], name="fig5-teacher")
-    teacher_epochs = teacher_epochs or max(2, scenario.epochs_per_model)
-    config = TrainingConfig(epochs=teacher_epochs, lr=scenario.lr,
-                            batch_size=scenario.batch_size,
-                            augment=scenario.augment)
-    train_model(teacher, teacher_set, config, rng=rng)
-
-    probes = []
-    for beta in betas:
-        probes.append(beta_probe(
-            scenario.factory, scenario.split.train, beta, teacher,
-            train_folds, seen_fold, unseen_fold,
-            probe_epochs=probe_epochs, lr=scenario.lr,
-            batch_size=scenario.batch_size, rng=spawn_rng(rng),
-        ))
-    return probes

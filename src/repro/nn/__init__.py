@@ -25,7 +25,6 @@ from repro.nn.losses import (
     accuracy,
     cross_entropy,
     distillation_loss,
-    nll_from_probs,
     predict_probs,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "cross_entropy",
-    "nll_from_probs",
     "distillation_loss",
     "accuracy",
     "predict_probs",

@@ -23,11 +23,6 @@ def he_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(default_dtype(), copy=False)
 
 
-def he_uniform(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(default_dtype(), copy=False)
-
-
 def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Xavier init, used for embeddings and the TextCNN dense head."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -59,17 +59,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return -(picked * Tensor(weights)).sum()
 
 
-def nll_from_probs(probs: Tensor, labels: np.ndarray,
-                   weights: Optional[np.ndarray] = None,
-                   eps: float = 1e-12) -> Tensor:
-    """Negative log-likelihood when the model already outputs probabilities."""
-    labels = np.asarray(labels, dtype=np.int64)
-    batch = probs.shape[0]
-    weights = _sample_weights(weights, batch)
-    picked = probs[np.arange(batch), labels] + eps
-    return -(picked.log() * Tensor(weights)).sum()
-
-
 def distillation_loss(logits: Tensor, labels: np.ndarray,
                       teacher_probs: np.ndarray,
                       alpha: float = 0.5,

@@ -27,11 +27,3 @@ def spawn_rng(rng: np.random.Generator, count: int = 1):
     seeds = rng.integers(0, 2 ** 63 - 1, size=count)
     children = [np.random.default_rng(int(s)) for s in seeds]
     return children[0] if count == 1 else children
-
-
-def seed_everything(seed: int) -> np.random.Generator:
-    """Seed numpy's legacy global state too (some scipy paths use it)."""
-    # The one sanctioned global-state touch in the tree: scipy code paths
-    # outside our control read the legacy RNG, so pin it here too.
-    np.random.seed(seed % (2 ** 32))  # repro-lint: disable=RL002 (legacy scipy paths)
-    return new_rng(seed)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    best_at_budget,
     curve_table,
     epochs_to_reach,
     format_table,
@@ -115,12 +114,6 @@ class TestCurves:
         fast = make_result("fast", [(10, 0.5)])
         slow = make_result("slow", [(40, 0.9)])
         assert speedup_over(fast, slow) is None
-
-    def test_best_at_budget(self):
-        a = make_result("a", [(10, 0.6), (20, 0.9)])
-        b = make_result("b", [(10, 0.7), (20, 0.8)])
-        assert best_at_budget([a, b], 10) == ("b", 0.7)
-        assert best_at_budget([a, b], 20) == ("a", 0.9)
 
     def test_render_curves_mentions_methods(self):
         a = make_result("alpha", [(10, 0.6), (20, 0.9)])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.ensemble import Ensemble, alpha_vote, majority_vote
+from repro.core.ensemble import Ensemble, alpha_vote
 from repro.models import MLP
+from repro.nn import accuracy
 
 RNG = np.random.default_rng(10)
 
@@ -84,9 +85,10 @@ class TestEnsemble:
         x = RNG.normal(size=(10, 4))
         y = RNG.integers(0, 3, size=10)
         acc = ensemble.evaluate(x, y)
-        assert 0.0 <= acc <= 1.0
-        members = ensemble.member_accuracies(x, y)
+        assert acc == accuracy(ensemble.predict_probs(x), y)
+        members = [accuracy(probs, y) for probs in ensemble.member_probs(x)]
         assert len(members) == 2
+        assert all(0.0 <= member <= 1.0 for member in members)
 
 
 class TestReplaceMember:
@@ -139,13 +141,6 @@ class TestReplaceMember:
 
 
 class TestCombiners:
-    def test_majority_vote(self):
-        a = np.array([[0.9, 0.1], [0.9, 0.1]])
-        b = np.array([[0.8, 0.2], [0.2, 0.8]])
-        c = np.array([[0.1, 0.9], [0.3, 0.7]])
-        votes = majority_vote([a, b, c])
-        np.testing.assert_array_equal(votes, [0, 1])
-
     @pytest.mark.parametrize("alphas, expected", [
         ([1.0, 1.0], [[0.5, 0.5]]),
         ([3.0, 1.0], [[0.75, 0.25]]),
@@ -156,8 +151,6 @@ class TestCombiners:
         np.testing.assert_allclose(alpha_vote(alphas, [a, b]), expected)
 
     def test_empty_inputs_raise(self):
-        with pytest.raises(ValueError):
-            majority_vote([])
         with pytest.raises(ValueError):
             alpha_vote([], [])
 

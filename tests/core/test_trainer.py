@@ -6,10 +6,10 @@ import pytest
 from repro.core.trainer import (
     TrainingConfig,
     default_loss,
-    evaluate_model,
     train_model,
 )
 from repro.models import MLP
+from repro.nn import accuracy, predict_probs
 
 
 class TestTrainingConfig:
@@ -35,7 +35,8 @@ class TestTrainModel:
         config = TrainingConfig(epochs=30, lr=0.05, batch_size=16,
                                 schedule="constant", weight_decay=0.0)
         train_model(model, toy_dataset, config, rng=0)
-        assert evaluate_model(model, toy_dataset) > 0.95
+        assert accuracy(predict_probs(model, toy_dataset.x),
+                        toy_dataset.y) > 0.95
 
     def test_logger_records_every_epoch(self, toy_dataset):
         model = MLP(input_dim=2, num_classes=3, hidden=(8,), rng=0)

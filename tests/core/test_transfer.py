@@ -6,7 +6,6 @@ import pytest
 from repro.core.transfer import (
     leaf_modules,
     select_beta,
-    transfer_fraction_possible,
     transfer_parameters,
 )
 from repro.models import MLP, ModelFactory, ResNetCIFAR
@@ -39,9 +38,10 @@ class TestTransferParameters:
 
     def test_prefix_exactly_transferred(self):
         teacher, student = make_pair()
-        fractions = transfer_fraction_possible(teacher)
+        counts = [sum(p.data.size for p in leaf.parameters())
+                  for leaf in leaf_modules(teacher)]
         # pick beta exactly at the first module boundary
-        beta = fractions[0] + 1e-6
+        beta = counts[0] / sum(counts) + 1e-6
         transfer_parameters(teacher, student, beta, rng=0)
         teacher_leaves = leaf_modules(teacher)
         student_leaves = leaf_modules(student)
@@ -93,14 +93,6 @@ class TestTransferParameters:
             _, student = make_pair()
             counts.append(transfer_parameters(teacher, student, beta, rng=0))
         assert counts == sorted(counts)
-
-
-class TestTransferFractions:
-    def test_cumulative_ends_at_one(self):
-        model = MLP(input_dim=4, num_classes=2, hidden=(5, 5), rng=0)
-        fractions = transfer_fraction_possible(model)
-        assert fractions[-1] == pytest.approx(1.0)
-        assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 
 class TestSelectBeta:

@@ -12,7 +12,6 @@ from repro.data import (
     random_crop,
     random_flip,
     split_folds,
-    train_validation_split,
 )
 
 
@@ -97,21 +96,3 @@ class TestFolds:
         folds = split_folds(dataset, n_folds, rng=0)
         assert len(folds) == n_folds
         assert sum(len(f) for f in folds) == n_samples
-
-
-class TestTrainValidationSplit:
-    def test_sizes(self):
-        train, val = train_validation_split(make_dataset(20), 0.25, rng=0)
-        assert len(train) == 15
-        assert len(val) == 5
-
-    def test_disjoint(self):
-        dataset = make_dataset(20)
-        train, val = train_validation_split(dataset, 0.3, rng=0)
-        train_rows = set(map(tuple, train.x))
-        val_rows = set(map(tuple, val.x))
-        assert not train_rows & val_rows
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_validation_split(make_dataset(10), 1.5)

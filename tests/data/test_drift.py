@@ -9,7 +9,6 @@ from repro.data import (
     DriftStream,
     ImageConfig,
     build_prototypes,
-    make_drift_stream,
     rotate_prototypes,
 )
 
@@ -85,7 +84,7 @@ class TestSchedule:
 class TestStream:
     def test_batches_follow_the_schedule(self):
         schedule = step_schedule()
-        stream = make_drift_stream(CONFIG, schedule, rng=0)
+        stream = DriftStream(CONFIG, schedule, rng=0)
         batches = list(stream)
         assert len(batches) == schedule.total_batches
         assert [b.index for b in batches] == list(range(7))
@@ -99,25 +98,25 @@ class TestStream:
 
     def test_deterministic_replay(self):
         schedule = step_schedule()
-        first = list(make_drift_stream(CONFIG, schedule, rng=7))
-        second = list(make_drift_stream(CONFIG, schedule, rng=7))
+        first = list(DriftStream(CONFIG, schedule, rng=7))
+        second = list(DriftStream(CONFIG, schedule, rng=7))
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.y, b.y)
 
     def test_seed_changes_stream(self):
         schedule = step_schedule()
-        a = make_drift_stream(CONFIG, schedule, rng=0).next_batch()
-        b = make_drift_stream(CONFIG, schedule, rng=1).next_batch()
+        a = DriftStream(CONFIG, schedule, rng=0).next_batch()
+        b = DriftStream(CONFIG, schedule, rng=1).next_batch()
         assert not np.array_equal(a.x, b.x)
 
     def test_baseline_then_batches_is_the_contract(self):
         schedule = step_schedule()
-        stream = make_drift_stream(CONFIG, schedule, rng=3)
+        stream = DriftStream(CONFIG, schedule, rng=3)
         baseline = stream.baseline_dataset(24)
         assert len(baseline) == 24
         assert baseline.num_classes == CONFIG.num_classes
-        replay = make_drift_stream(CONFIG, schedule, rng=3)
+        replay = DriftStream(CONFIG, schedule, rng=3)
         np.testing.assert_array_equal(replay.baseline_dataset(24).x,
                                       baseline.x)
         np.testing.assert_array_equal(next(iter(replay)).x,
@@ -129,13 +128,13 @@ class TestStream:
         drifted = DriftSchedule(phases=[{"batches": 2},
                                         {"batches": 2, "covariate": 1.0}],
                                 batch_size=8)
-        a = list(make_drift_stream(CONFIG, stationary, rng=5))
-        b = list(make_drift_stream(CONFIG, drifted, rng=5))
+        a = list(DriftStream(CONFIG, stationary, rng=5))
+        b = list(DriftStream(CONFIG, drifted, rng=5))
         np.testing.assert_array_equal(a[0].x, b[0].x)  # both stationary
         assert not np.array_equal(a[2].x, b[2].x)      # b has drifted
 
     def test_label_skew_tilts_priors(self):
-        stream = make_drift_stream(CONFIG, step_schedule(), rng=0)
+        stream = DriftStream(CONFIG, step_schedule(), rng=0)
         uniform = stream.priors(0.0)
         np.testing.assert_allclose(uniform, 1.0 / CONFIG.num_classes)
         skewed = stream.priors(2.0)
@@ -145,7 +144,7 @@ class TestStream:
     def test_skewed_phase_draws_skewed_labels(self):
         schedule = DriftSchedule(phases=[{"batches": 30, "label_skew": 3.0}],
                                  batch_size=16)
-        stream = make_drift_stream(CONFIG, schedule, rng=0)
+        stream = DriftStream(CONFIG, schedule, rng=0)
         labels = np.concatenate([b.y for b in stream])
         counts = np.bincount(labels, minlength=CONFIG.num_classes)
         head = stream.class_order[0]

@@ -93,13 +93,15 @@ class TestSuperclassStructure:
 
 class TestLearnability:
     def test_mlp_beats_chance(self, tiny_image_split):
-        from repro.core.trainer import TrainingConfig, train_model, evaluate_model
+        from repro.core.trainer import TrainingConfig, train_model
         from repro.models import MLP
+        from repro.nn import accuracy, predict_probs
 
         train = tiny_image_split.train
         model = MLP(input_dim=int(np.prod(train.x.shape[1:])),
                     num_classes=train.num_classes, hidden=(32,), rng=0)
         train_model(model, train, TrainingConfig(epochs=5, lr=0.05,
                                                  schedule="constant"), rng=0)
-        accuracy = evaluate_model(model, tiny_image_split.test)
-        assert accuracy > 2.0 / train.num_classes
+        test = tiny_image_split.test
+        assert accuracy(predict_probs(model, test.x), test.y) \
+            > 2.0 / train.num_classes

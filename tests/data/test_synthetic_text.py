@@ -73,13 +73,14 @@ class TestPolarityStructure:
         assert agreement > 0.8
 
     def test_textcnn_learns_it(self, tiny_text_split):
-        from repro.core.trainer import TrainingConfig, train_model, evaluate_model
+        from repro.core.trainer import TrainingConfig, train_model
         from repro.models import TextCNN
+        from repro.nn import accuracy, predict_probs
 
         model = TextCNN(vocab_size=300, num_classes=2, embedding_dim=8,
                         filters_per_width=4, dropout=0.2, rng=0)
         train_model(model, tiny_text_split.train,
                     TrainingConfig(epochs=6, lr=0.1, batch_size=32,
                                    schedule="constant"), rng=0)
-        accuracy = evaluate_model(model, tiny_text_split.test)
-        assert accuracy > 0.65
+        test = tiny_text_split.test
+        assert accuracy(predict_probs(model, test.x), test.y) > 0.65

@@ -529,6 +529,60 @@ class TestMethodRunnerIntegration:
         assert not checkpoints.exists()
 
 
+class TestPaperRunnersAndCollectors:
+    """The runners and collectors the Table IV-VI and Fig. 1/5/8 benches use."""
+
+    @staticmethod
+    def _run(tiny_scenario, **spec):
+        with scenario_scope("tiny-reg", tiny_scenario):
+            grid = run_grid(GridSpec(name="tiny_paper", checkpoint=False,
+                                     **spec))
+        assert grid.complete
+        assert all(record.status == "done" for record in grid.records)
+        return grid.records
+
+    def test_diversity_collector(self, tiny_scenario):
+        records = self._run(
+            tiny_scenario,
+            factors={"method": ["snapshot", "edde", "adaboost_nc"],
+                     "scenario": ["tiny-reg"]},
+            collect="diversity")
+        assert [r.method for r in records] == ["snapshot", "edde",
+                                               "adaboost_nc"]
+        for record in records:
+            assert 0.0 <= record.metrics["diversity"] <= 1.0
+            assert np.shape(record.metrics["similarity_matrix"]) == (2, 2)
+
+    def test_bias_variance_collector(self, tiny_scenario):
+        records = self._run(
+            tiny_scenario,
+            factors={"method": ["snapshot", "edde"],
+                     "scenario": ["tiny-reg"]},
+            collect="bias_variance")
+        assert len(records) == 2
+        for record in records:
+            assert 0.0 <= record.metrics["bias"] <= 1.0
+            assert 0.0 <= record.metrics["variance"] <= 1.0
+
+    def test_beta_probe_runner_probes_each_beta_in_order(self,
+                                                          tiny_scenario):
+        records = self._run(
+            tiny_scenario,
+            factors={"scenario": ["tiny-reg"], "beta": [1.0, 0.5]},
+            base={"n_folds": 4, "probe_epochs": 1, "teacher_epochs": 1},
+            runner="beta_probe")
+        assert [r.metrics["beta"] for r in records] == [1.0, 0.5]
+
+    @pytest.mark.parametrize("runner", ["edde_cumulative_weights",
+                                        "edde_correlate_previous_model"])
+    def test_variant_runner_fits(self, runner, tiny_scenario):
+        (record,) = self._run(tiny_scenario,
+                              factors={"scenario": ["tiny-reg"]},
+                              runner=runner)
+        assert record.metrics["num_members"] == 2
+        assert 0.0 <= record.metrics["final_accuracy"] <= 1.0
+
+
 # ----------------------------------------------------------------------
 class TestServeDriftRunner:
     def test_grid_cell_matches_direct_replay(self):

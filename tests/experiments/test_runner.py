@@ -6,12 +6,7 @@ import pytest
 from repro.experiments.protocol import Scenario
 from repro.experiments.runner import (
     make_edde_config,
-    run_ablation,
-    run_beta_sweep,
-    run_bias_variance,
-    run_diversity_analysis,
     run_effectiveness,
-    run_gamma_sweep,
     run_method,
 )
 
@@ -61,40 +56,3 @@ class TestRunners:
         results = run_effectiveness(tiny_scenario,
                                     methods=("single", "edde"), rng=0)
         assert set(results) == {"single", "edde"}
-
-    def test_gamma_sweep(self, tiny_scenario):
-        results = run_gamma_sweep(tiny_scenario, gammas=(0.0, 0.5), rng=0)
-        assert set(results) == {0.0, 0.5}
-        for result in results.values():
-            assert 0.0 <= result.final_accuracy <= 1.0
-
-    def test_diversity_analysis(self, tiny_scenario):
-        outputs = run_diversity_analysis(tiny_scenario, num_models=2, rng=0)
-        assert set(outputs) == {"Snapshot Ensemble", "EDDE", "AdaBoost.NC"}
-        for summary in outputs.values():
-            assert summary["similarity_matrix"].shape == (2, 2)
-            assert 0.0 <= summary["diversity"] <= 1.0
-
-    def test_ablation(self, tiny_scenario):
-        outputs = run_ablation(tiny_scenario, rng=0)
-        expected = {"EDDE", "EDDE (normal loss)", "EDDE (transfer all)",
-                    "EDDE (transfer none)", "AdaBoost.NC (transfer)"}
-        assert set(outputs) == expected
-
-    def test_ablation_extended(self, tiny_scenario):
-        outputs = run_ablation(tiny_scenario, rng=0, extended=True)
-        assert "EDDE (weights from W_{t-1})" in outputs
-        assert "EDDE (correlate h_{t-1} only)" in outputs
-
-    def test_bias_variance(self, tiny_scenario):
-        points = run_bias_variance(tiny_scenario,
-                                   methods=("snapshot", "edde"), rng=0)
-        assert len(points) == 2
-        for point in points:
-            assert 0.0 <= point.bias <= 1.0
-            assert 0.0 <= point.variance <= 1.0
-
-    def test_beta_sweep(self, tiny_scenario):
-        probes = run_beta_sweep(tiny_scenario, betas=(1.0, 0.5), n_folds=4,
-                                probe_epochs=1, teacher_epochs=1, rng=0)
-        assert [p.beta for p in probes] == [1.0, 0.5]

@@ -11,7 +11,6 @@ from repro.nn.losses import (
     accuracy,
     cross_entropy,
     distillation_loss,
-    nll_from_probs,
     predict_probs,
 )
 from repro.tensor import Tensor, gradcheck, inference_mode
@@ -50,16 +49,6 @@ class TestCrossEntropy:
         logits = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         labels = np.array([1, 0, 3])
         assert gradcheck(lambda l: cross_entropy(l, labels), [logits])
-
-
-class TestNLLFromProbs:
-    def test_matches_cross_entropy(self):
-        from repro.tensor.ops import softmax
-        logits = Tensor(RNG.normal(size=(3, 4)))
-        labels = np.array([2, 0, 1])
-        via_probs = nll_from_probs(softmax(logits, axis=1), labels).item()
-        via_logits = cross_entropy(logits, labels).item()
-        assert via_probs == pytest.approx(via_logits, rel=1e-6)
 
 
 class TestDistillation:

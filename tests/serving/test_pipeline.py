@@ -295,9 +295,14 @@ class TestPumpWindow:
                     for _ in range(10)]
         solo = [service.predict(x).probs.copy() for x in requests]
         rounds, answers = 20, [[], []]
+        # Neither client submits before both threads exist: the idle pump
+        # answers a lone request at once, so a client that starts alone
+        # is served solo round after round until its partner arrives.
+        go = threading.Event()
         with ServingPipeline(service, PipelineConfig(
                 workers=0, max_wait_ms=500.0)) as pipeline:
             def client(index):
+                go.wait(timeout=10.0)
                 for step in range(rounds):
                     which = (index + 2 * step) % len(requests)
                     ticket = pipeline.submit(requests[which])
@@ -309,6 +314,7 @@ class TestPumpWindow:
             started = time.monotonic()
             for thread in threads:
                 thread.start()
+            go.set()
             for thread in threads:
                 thread.join(timeout=30.0)
             elapsed = time.monotonic() - started

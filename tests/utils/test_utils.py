@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import RunLogger, new_rng, seed_everything, spawn_rng
+from repro.utils import RunLogger, new_rng, spawn_rng
 
 
 class TestRng:
@@ -32,14 +32,6 @@ class TestRng:
         a = spawn_rng(new_rng(7)).random()
         b = spawn_rng(new_rng(7)).random()
         assert a == b
-
-    def test_seed_everything(self):
-        rng = seed_everything(123)
-        legacy_a = np.random.rand()
-        seed_everything(123)
-        legacy_b = np.random.rand()
-        assert legacy_a == legacy_b
-        assert isinstance(rng, np.random.Generator)
 
 
 class TestRunLogger:
