@@ -142,15 +142,16 @@ GUARDED_CLASSES: Dict[Tuple[str, str], ClassGuard] = {
 
 #: Threaded modules whose shared state must stay ``threading.local`` —
 #: module name -> module-level names allowed to exist besides plain
-#: immutables (the thread-local containers themselves, constants).
+#: immutables.  Their per-thread state lives on the one record in
+#: ``repro.ops.modes``, so only that module names an instance.
 THREAD_LOCAL_MODULES: Dict[str, FrozenSet[str]] = {
-    "repro.ops.workspace": frozenset({"_local"}),
-    "repro.ops.batching": frozenset({"_state"}),
-    "repro.ops.profiler": frozenset({"_state"}),
-    "repro.ops.fastpath": frozenset({"_state"}),
-    "repro.ops.fused": frozenset({"_state"}),
-    "repro.tensor.tensor": frozenset({"_state"}),
-    "repro.tensor.sanitize": frozenset({"_state"}),
+    "repro.ops.modes": frozenset({"state"}),
+    "repro.ops.workspace": frozenset(),
+    "repro.ops.batching": frozenset(),
+    "repro.ops.profiler": frozenset(),
+    "repro.ops.fused": frozenset(),
+    "repro.tensor.tensor": frozenset(),
+    "repro.tensor.sanitize": frozenset(),
 }
 
 #: Method names whose call mutates the object they are called on.

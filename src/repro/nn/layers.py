@@ -15,7 +15,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.ops.fastpath import fastpath_enabled
+from repro.ops.modes import fastpath_enabled
 from repro.tensor import Tensor, apply
 from repro.utils.rng import RngLike, new_rng
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.ops.fastpath import fastpath_enabled
+from repro.ops.modes import fastpath_enabled
 from repro.tensor import Tensor, apply, default_dtype
 
 

@@ -7,7 +7,7 @@ here operate purely on numpy arrays and never import the tensor layer.
 
 from repro.ops.registry import Op, OpContext, get_op, register, registered_ops
 from repro.ops.profiler import OpProfiler, current_profiler, profile_ops
-from repro.ops.fastpath import fastpath_enabled
+from repro.ops.modes import fastpath_enabled
 
 # Kernel modules register themselves on import.
 from repro.ops import arithmetic as _arithmetic  # noqa: F401

@@ -22,9 +22,10 @@ bit-identical to solo results *by construction*, on any BLAS build.  The
 scheduler only coalesces requests of equal row count, which makes every
 block boundary a request boundary.
 
-The declared cell is thread-local (each thread that runs members
-batches independently) and costs one attribute read on the hot path
-when disabled.
+The declared cell is the ``cell`` field of the per-thread
+:mod:`repro.ops.modes` record (each thread that runs members batches
+independently) and costs one attribute read on the hot path when
+disabled.
 Higher-rank matmuls (e.g. conv's ``w_mat @ cols`` with a leading sample
 axis) are left untouched: numpy lowers them to one 2-D GEMM per sample
 already, so their geometry never depends on how many samples are stacked.
@@ -32,30 +33,21 @@ already, so their geometry never depends on how many samples are stacked.
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
 
 import numpy as np
 
-
-class _State(threading.local):
-    # A class default, so an unset thread reads it without a failed lookup.
-    cell: Optional[int] = None
-
-
-_state = _State()
+from repro.ops.modes import modes, state as _modes
 
 __all__ = ["batch_cell", "batch_cell_rows", "blocked_matmul", "cell_matmul"]
 
 
 def batch_cell_rows() -> Optional[int]:
     """The active cell size (rows per request), or None when disabled."""
-    return _state.cell
+    return _modes.cell
 
 
-@contextlib.contextmanager
-def batch_cell(rows: int) -> Iterator[None]:
+def batch_cell(rows: int) -> ContextManager[None]:
     """Declare that stacked activations are ``rows``-row request cells.
 
     While active, 2-D products run block-by-block at this row
@@ -64,12 +56,7 @@ def batch_cell(rows: int) -> Iterator[None]:
     rows = int(rows)
     if rows < 1:
         raise ValueError(f"batch cell must be >= 1 row, got {rows}")
-    previous = batch_cell_rows()
-    _state.cell = rows
-    try:
-        yield
-    finally:
-        _state.cell = previous
+    return modes(cell=rows)
 
 
 def blocked_matmul(x: np.ndarray, y: np.ndarray, cell: int) -> np.ndarray:
@@ -101,7 +88,7 @@ def cell_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Only 2-D products with more rows than the cell are blocked; anything
     else is one plain GEMM (see the module docstring).
     """
-    cell = _state.cell
+    cell = _modes.cell
     if cell is not None and x.ndim == 2 and y.ndim == 2 and \
             x.shape[0] > cell:
         return blocked_matmul(x, y, cell)

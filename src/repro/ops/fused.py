@@ -15,38 +15,22 @@ benchmarks run the unfused chains for comparison.
 
 from __future__ import annotations
 
-import contextlib
-import threading
-
 import numpy as np
 
+from repro.ops.modes import modes, state as _modes
 from repro.ops.registry import register
 
 _EPS = 1e-12
 
 
-class _State(threading.local):
-    # A class default, so an unset thread reads it without a failed lookup.
-    fused = True
-
-
-_state = _State()
-
-
 def fused_enabled() -> bool:
     """Whether the loss wrappers should dispatch the fused kernels."""
-    return _state.fused
+    return _modes.fused
 
 
-@contextlib.contextmanager
 def use_fused(enabled: bool = True):
     """Force fused kernels on/off within a block (tests, benchmarks)."""
-    previous = fused_enabled()
-    _state.fused = enabled
-    try:
-        yield
-    finally:
-        _state.fused = previous
+    return modes(fused=enabled)
 
 
 # ----------------------------------------------------------------------

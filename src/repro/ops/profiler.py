@@ -2,8 +2,10 @@
 
 Activate with the :func:`profile_ops` context manager; while active, the
 tensor dispatcher reports every registry forward/backward call made on
-the same thread here.  The overhead when inactive is a single ``is None``
-check per op call.
+the same thread here.  The profiler is the ``profiler`` field of the
+per-thread :mod:`repro.ops.modes` record, which the dispatcher binds once
+per call anyway, so the overhead when inactive is one field read and an
+``is None`` check per op call.
 
 Example
 -------
@@ -18,8 +20,9 @@ Example
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Dict, Optional
+
+from repro.ops.modes import modes, state as _modes
 
 
 class OpProfiler:
@@ -85,32 +88,19 @@ class OpProfiler:
         return "\n".join(lines)
 
 
-class _State(threading.local):
-    """Thread-local, like ``no_grad``: a profile sees only its own
-    thread's ops, so executor threads neither leak into it nor race on
-    its counters.  The class default makes an unset thread read ``None``
-    without the cost of a failed attribute lookup."""
-
-    profiler: Optional[OpProfiler] = None
-
-
-# The dispatcher reads ``_state.profiler`` on every op call; ``None``
-# means profiling is off and costs two attribute loads + identity check.
-_state = _State()
-
-
 def current_profiler() -> Optional[OpProfiler]:
     """The profiler collecting this thread's op calls, if any."""
-    return _state.profiler
+    return _modes.profiler
 
 
 @contextlib.contextmanager
 def profile_ops():
-    """Collect per-op stats from this thread's dispatches."""
-    previous = current_profiler()
+    """Collect per-op stats from this thread's dispatches.
+
+    Thread-local, like ``no_grad``: a profile sees only its own thread's
+    ops, so executor threads neither leak into it nor race on its
+    counters.
+    """
     profiler = OpProfiler()
-    _state.profiler = profiler
-    try:
+    with modes(profiler=profiler):
         yield profiler
-    finally:
-        _state.profiler = previous

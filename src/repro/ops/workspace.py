@@ -13,7 +13,8 @@ taped, e.g. under the inference fast path).  Buffers referenced by a graph
 that is never backpropagated are simply garbage-collected — the pool only
 tracks free buffers, never checked-out ones.
 
-Thread safety: the free lists are **thread-local**.  Serving runs member
+Thread safety: the free lists are **thread-local** — the ``free`` dict of
+the per-thread :mod:`repro.ops.modes` record.  Serving runs member
 forwards on several threads at once (the batcher's pump, clients served
 without batching, the executor's deadline pool), and a shared free list
 would let two conv kernels pop the *same* buffer and overwrite each
@@ -27,26 +28,18 @@ and each client thread served with ``batching=False``.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.ops.modes import state as _modes
+
 _MAX_PER_KEY = 8
-
-
-class _Local(threading.local):
-    # ``threading.local`` runs ``__init__`` once per thread, on first touch.
-    def __init__(self):
-        self.free: Dict[Tuple[tuple, np.dtype], List[np.ndarray]] = {}
-
-
-_local = _Local()
 
 
 def _free() -> Dict[Tuple[tuple, np.dtype], List[np.ndarray]]:
     """This thread's free lists (created empty on first touch)."""
-    return _local.free
+    return _modes.free
 
 
 def acquire(shape: tuple, dtype) -> np.ndarray:

@@ -19,9 +19,10 @@ requests.  So a member fails the same way whichever path serves the
 request.
 
 Both run members inside one *inference scope*:
-:func:`repro.tensor.inference_mode`, plus
-:func:`repro.ops.batching.batch_cell` when the request declares a batch
-cell.  The serial loop enters it once for the whole roster; a pool task
+:func:`repro.tensor.inference_mode`, or, when the request declares a
+batch cell, one :func:`repro.ops.modes.modes` entry that sets inference
+mode and the cell (:func:`repro.ops.batching.batch_cell`'s field) at
+once.  The serial loop enters it once for the whole roster; a pool task
 (the executor's deadline path) enters its own, because the scope is
 thread-local and the task runs on a pool thread.  Entering it once per
 roster rather than once per member changes no bit: a member's failure is
@@ -31,13 +32,12 @@ state whichever way the roster ends.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ContextManager, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn import predict_probs
-from repro.ops.batching import batch_cell
+from repro.ops.modes import modes
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.errors import MemberFault
 from repro.tensor import inference_mode
@@ -99,15 +99,11 @@ MemberOutputs = List[Tuple[ServingMember, np.ndarray]]
 MemberSkips = List[Tuple[int, str, str]]
 
 
-@contextlib.contextmanager
-def _inference_scope(cell: Optional[int]) -> Iterator[None]:
-    """Inference mode, plus ``batch_cell(cell)`` when ``cell`` is set."""
-    with inference_mode():
-        if cell is None:
-            yield
-        else:
-            with batch_cell(cell):
-                yield
+def _inference_scope(cell: Optional[int]) -> ContextManager[None]:
+    """Inference mode, with the batch cell ``cell`` when it is set."""
+    if cell is None:
+        return inference_mode()
+    return modes(grad=False, fastpath=True, cell=cell)
 
 
 def run_member(member: ServingMember, x: np.ndarray, batch_size: int,

@@ -17,23 +17,15 @@ tight; gradcheck always runs in float64 regardless of the default.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 
 import numpy as np
+
+from repro.ops.modes import modes, state as _modes
 
 _DEFAULT: np.dtype = np.dtype(os.environ.get("REPRO_DTYPE", "float32"))
 if _DEFAULT.kind != "f":
     raise ValueError(f"REPRO_DTYPE must name a float dtype, got {_DEFAULT}")
-
-class _State(threading.local):
-    # A dtype_scope override for the current thread; None means _DEFAULT.
-    # A class default, so an unset thread reads it without a failed lookup.
-    dtype = None
-
-
-_state = _State()
 
 # Real numeric kinds a Tensor may hold: float, int, unsigned int, bool.
 # Everything else (object, str, bytes, void, complex, datetime) fails a
@@ -59,7 +51,7 @@ def check_valid_dtype(dtype, context: str = "Tensor data") -> np.dtype:
 
 def default_dtype() -> np.dtype:
     """The dtype used when the library materialises new float arrays."""
-    scoped = _state.dtype
+    scoped = _modes.dtype
     return _DEFAULT if scoped is None else scoped
 
 
@@ -81,16 +73,10 @@ def set_default_dtype(dtype) -> np.dtype:
     return previous
 
 
-@contextlib.contextmanager
 def dtype_scope(dtype):
     """Switch the default float dtype for this thread within a block.
 
     Thread-local, like ``no_grad``: other threads — a concurrent serving
     pipeline's workers included — keep the process default.
     """
-    previous = _state.dtype
-    _state.dtype = _float_dtype(dtype)
-    try:
-        yield
-    finally:
-        _state.dtype = previous
+    return modes(dtype=_float_dtype(dtype))

@@ -21,26 +21,20 @@ All checks raise :class:`SanitizerError` naming the op, the failing
 check, and the input shapes/dtypes, so a NaN born ten layers deep in a
 DenseNet points at its kernel instead of surfacing as a garbage accuracy.
 
-Off-path cost is a single flag read per dispatch: the sanitizer performs
-no op dispatches itself (raw ``np.isfinite`` only), so the taped graph —
-and therefore golden-run parity — is bit-identical with it on or off.
+Off-path cost is one field read per dispatch (``sanitize`` on the
+:mod:`repro.ops.modes` record the dispatcher binds anyway): the sanitizer
+performs no op dispatches itself (raw ``np.isfinite`` only), so the taped
+graph — and therefore golden-run parity — is bit-identical with it on or
+off.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
-
-class _State(threading.local):
-    # A class default, so an unset thread reads it without a failed lookup.
-    enabled = False
-
-
-_state = _State()
+from repro.ops.modes import modes, state as _modes
 
 
 class SanitizerError(RuntimeError):
@@ -63,10 +57,9 @@ class SanitizerError(RuntimeError):
 
 def sanitize_enabled() -> bool:
     """Whether op dispatches are currently being sanitized."""
-    return _state.enabled
+    return _modes.sanitize
 
 
-@contextlib.contextmanager
 def sanitize_mode(enabled: bool = True):
     """Check every op dispatch for NaN/Inf, dtype drift and bad shapes.
 
@@ -75,12 +68,7 @@ def sanitize_mode(enabled: bool = True):
     harnesses — the checks cost roughly one extra pass over each output,
     so leave it off in benchmark timings.
     """
-    previous = sanitize_enabled()
-    _state.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _state.enabled = previous
+    return modes(sanitize=bool(enabled))
 
 
 def _describe(arrays: Tuple[np.ndarray, ...]) -> str:

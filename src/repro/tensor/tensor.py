@@ -13,7 +13,8 @@ Design notes
   dropped so intermediate activations become collectable immediately.
 * Gradients accumulate (``+=``), so a tensor used twice receives the sum
   of both contributions — required by residual and dense connectivity.
-* A module-level switch (:func:`no_grad`) disables taping for inference;
+* A per-thread mode (:func:`no_grad`, a field of the
+  :mod:`repro.ops.modes` record) disables taping for inference;
   :func:`inference_mode` additionally routes kernel outputs into
   lightweight :class:`ArrayView` wrappers that skip all graph
   bookkeeping, which matters because ensemble evaluation dominates
@@ -26,15 +27,13 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-import threading
 from time import perf_counter
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ops import fastpath as _fastpath_mod
-from repro.ops import profiler as _profiler
 from repro.ops import workspace as _workspace
+from repro.ops.modes import modes, state as _modes
 from repro.ops.reduce import sum_to_shape
 from repro.ops.registry import OpContext, get_op
 from repro.tensor import sanitize as _sanitize
@@ -46,31 +45,16 @@ import repro.ops  # noqa: F401  (registration side effect)
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
-class _State(threading.local):
-    # A class default, so an unset thread reads it without a failed lookup.
-    grad_enabled = True
-
-
-_state = _State()
-
-
 def is_grad_enabled() -> bool:
     """Return whether operations are currently being recorded on the tape."""
-    return _state.grad_enabled
+    return _modes.grad
 
 
-@contextlib.contextmanager
 def no_grad():
     """Context manager that disables gradient taping (inference mode)."""
-    previous = is_grad_enabled()
-    _state.grad_enabled = False
-    try:
-        yield
-    finally:
-        _state.grad_enabled = previous
+    return modes(grad=False)
 
 
-@contextlib.contextmanager
 def inference_mode():
     """``no_grad`` plus the registry fast path, in eval mode.
 
@@ -79,14 +63,12 @@ def inference_mode():
     forward pass is essentially a chain of raw numpy kernel calls.
     ``BatchNorm`` and ``Dropout`` run as in eval mode on this thread,
     without touching any module's ``training`` flag.  Entering it on a
-    thread already inside only yields: there is no state to set or
-    restore.
+    thread already inside is a null context: there is no state to set
+    or restore.
     """
-    if _fastpath_mod.fastpath_enabled() and not _state.grad_enabled:
-        yield
-        return
-    with no_grad(), _fastpath_mod._fastpath(True):
-        yield
+    if _modes.fastpath and not _modes.grad:
+        return contextlib.nullcontext()
+    return modes(grad=False, fastpath=True)
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
@@ -122,7 +104,8 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
     ctx.needs = tuple(t.requires_grad for t in inputs)
     arrays = tuple(t.data for t in inputs)
 
-    prof = _profiler._state.profiler
+    mode = _modes
+    prof = mode.profiler
     if prof is None:
         data = op.forward(ctx, *arrays, **params)
     else:
@@ -131,10 +114,10 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
         prof.record_forward(name, perf_counter() - started,
                             getattr(data, "nbytes", 0))
 
-    if _sanitize.sanitize_enabled():
+    if mode.sanitize:
         _sanitize.check_forward(op, arrays, params, data)
 
-    if is_grad_enabled() and any(ctx.needs):
+    if mode.grad and any(ctx.needs):
         out = Tensor(data, requires_grad=True)
         out._parents = inputs
         out._ctx = ctx
@@ -146,7 +129,7 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
     # workspaces go straight back.
     for buffer in ctx.workspaces:
         _workspace.release(buffer)
-    if _fastpath_mod.fastpath_enabled():
+    if mode.fastpath:
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
         return ArrayView(data)
@@ -288,8 +271,9 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        prof = _profiler._state.profiler
-        sanitizing = _sanitize.sanitize_enabled()
+        mode = _modes
+        prof = mode.profiler
+        sanitizing = mode.sanitize
         for node in reversed(order):
             ctx = node._ctx
             if ctx is None:

@@ -95,12 +95,12 @@ class TestGuardedAttributes:
         assert "scheduler.cond" in messages(report)[0]
 
     def test_thread_local_module_mutable_global_fires(self, lint_tree):
-        source = ("_local = {}\n"          # registered container name: ok
+        source = ("state = {}\n"           # registered container name: ok
                   "_shared = {}\n"         # shared mutable: flagged
                   "def grow():\n"
                   "    global _shared\n"   # rebinding: flagged
                   "    _shared = {}\n")
-        report = lint_tree({"ops/workspace.py": source},
+        report = lint_tree({"ops/modes.py": source},
                            [GuardedAttributeRule()])
         assert codes(report) == ["RL006", "RL006"]
 

@@ -19,7 +19,7 @@ from repro.core import Ensemble
 from repro.models import ModelFactory, ResNetCIFAR
 from repro.nn import predict_probs
 from repro.ops.batching import batch_cell, batch_cell_rows
-from repro.ops.fastpath import fastpath_enabled
+from repro.ops import fastpath_enabled
 from repro.serving import (
     CLOSED,
     HALF_OPEN,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ops.fastpath import _fastpath, fastpath_enabled
+from repro.ops.modes import fastpath_enabled, modes
 from repro.tensor import (
     ArrayView,
     Tensor,
@@ -151,7 +151,7 @@ class TestInferenceMode:
 
     def test_fast_path_alone_is_not_inference_mode(self):
         # Only fast path *and* no grad together short-circuit an entry.
-        with _fastpath(True):
+        with modes(fastpath=True):
             with inference_mode():
                 assert _mode() == (True, False)
             assert _mode() == (True, True)
