@@ -71,21 +71,39 @@ def _op_cases():
     ]
 
 
+def _mean_us(rows, kind: str) -> float:
+    """µs per call of ``kind`` (forward/backward) over profiler rows."""
+    return 1e6 * sum(row[f"{kind}_seconds"] for row in rows) \
+        / sum(row[f"{kind}_calls"] for row in rows)
+
+
 def _bench_micro(repeats: int = 20) -> dict:
-    """Per-op forward/backward µs-per-call from the profiler."""
+    """Per-op forward/backward µs-per-call from the profiler.
+
+    Each repeat is profiled on its own.  Besides the mean over all
+    repeats, a case reports its first, median and slowest repeat's
+    forward µs, so one stalled call shows as a max far above the median
+    instead of only inflating the mean.
+    """
     results = {}
     for label, names, build in _op_cases():
         build().sum().backward()  # warm-up: registry, pools, caches
-        with profile_ops() as prof:
-            for _ in range(repeats):
+        summaries = []
+        for _ in range(repeats):
+            with profile_ops() as prof:
                 build().sum().backward()
-        summary = prof.summary()
+            summaries.append(prof.summary())
         for name in names:
-            row = summary[name]
+            rows = [summary[name] for summary in summaries]
+            forward = [1e6 * row["forward_seconds"] / row["forward_calls"]
+                       for row in rows]
             results[name] = {
                 "case": label,
-                "forward_us": 1e6 * row["forward_seconds"] / row["forward_calls"],
-                "backward_us": 1e6 * row["backward_seconds"] / row["backward_calls"],
+                "forward_us": _mean_us(rows, "forward"),
+                "backward_us": _mean_us(rows, "backward"),
+                "forward_first_us": forward[0],
+                "forward_median_us": float(np.median(forward)),
+                "forward_max_us": max(forward),
             }
     return results
 
@@ -180,10 +198,15 @@ def _bench_linear(rows: int = 16, features=(16, 32)) -> dict:
 
 def _render(payload: dict) -> str:
     micro_rows = [[name, row["case"], f"{row['forward_us']:.1f}",
+                   f"{row['forward_first_us']:.1f}",
+                   f"{row['forward_median_us']:.1f}",
+                   f"{row['forward_max_us']:.1f}",
                    f"{row['backward_us']:.1f}"]
                   for name, row in payload["ops"].items()]
-    micro = format_table(["op", "shape", "fwd µs", "bwd µs"], micro_rows,
-                         title="Per-op microseconds (profiler-measured)")
+    micro = format_table(["op", "shape", "fwd µs", "fwd first", "fwd median",
+                          "fwd max", "bwd µs"], micro_rows,
+                         title="Per-op microseconds (profiler-measured; "
+                               "fwd µs is the mean over repeats)")
     fused_rows = [[name, f"{row['fused_us']:.1f}", f"{row['unfused_us']:.1f}",
                    f"{row['speedup']:.2f}x"]
                   for name, row in payload["fused"].items()]

@@ -5,8 +5,9 @@ of Tensor primitives) because they dominate training time; their backward
 kernels are hand-derived and covered by finite-difference tests.  The
 kernels live in :mod:`repro.ops.conv`: the convolutions take ``padding``
 themselves (no separate pad op or graph node) and reuse pooled im2col
-workspaces (:mod:`repro.ops.workspace`), so the hot patch-matrix
-allocation is made once per shape rather than once per call.
+workspaces (:mod:`repro.ops.workspace`), so in training the hot
+patch-matrix allocation is made once per shape rather than once per
+step.
 """
 
 from __future__ import annotations

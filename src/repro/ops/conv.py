@@ -4,7 +4,8 @@ The convolutions own their zero padding, so a padded convolution is one
 dispatch and one graph node.  The im2col patch matrix — the hottest
 allocation in training — is checked out of :mod:`repro.ops.workspace`
 and recorded in ``ctx.workspaces``; the tensor dispatcher returns it to
-the pool after backward (or immediately when untaped).
+the pool after backward, and an untaped forward drops it with its
+context.
 
 ``conv2d`` fills its (N, C, KH, KW, OH, OW) patch buffer one of two
 ways, chosen from the op's own stride, kernel and padding:
@@ -237,7 +238,9 @@ def _max_pool2d_forward(ctx, x, kernel, stride):
     out_h = _conv_output_size(h, kernel, stride)
     out_w = _conv_output_size(w, kernel, stride)
 
-    cols = workspace.acquire((n, c, kernel * kernel, out_h, out_w), x.dtype)
+    # Backward needs only the argmax and shapes, so the patch buffer is a
+    # one-shot allocation, not a pooled workspace.
+    cols = np.empty((n, c, kernel * kernel, out_h, out_w), dtype=x.dtype)
     for i in range(kernel):
         for j in range(kernel):
             cols[:, :, i * kernel + j] = x[
@@ -245,9 +248,6 @@ def _max_pool2d_forward(ctx, x, kernel, stride):
             ]
     argmax = cols.argmax(axis=2)
     out = np.take_along_axis(cols, argmax[:, :, None], axis=2)[:, :, 0]
-    # Backward needs only the argmax and shapes, so the patch buffer goes
-    # straight back to the pool.
-    workspace.release(cols)
 
     ctx.argmax = argmax
     ctx.cols_shape = (n, c, kernel * kernel, out_h, out_w)

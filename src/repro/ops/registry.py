@@ -44,8 +44,8 @@ class OpContext:
     ``workspaces``
         Tuple of pooled buffers (see :mod:`repro.ops.workspace`) checked
         out by the forward pass; the dispatcher returns them to the pool
-        once the backward pass has consumed them (or immediately when the
-        op is not taped).
+        once the backward pass has consumed them.  An untaped op's
+        buffers are dropped with its context, never pooled.
     """
 
     needs: Tuple[bool, ...] = ()

@@ -3,27 +3,29 @@
 ``im2col`` materialises a patch matrix that is usually the single largest
 allocation of a training step; with fixed batch shapes the same-sized
 buffer is re-allocated every call.  The pool hands such buffers out and
-takes them back, so steady-state training/inference does one allocation
-per distinct shape instead of one per call.
+takes them back, so steady-state training does one allocation per
+distinct shape instead of one per call.
 
 Ownership protocol: a kernel ``acquire``s a buffer in its forward pass and
-records it in ``ctx.workspaces``; the tensor dispatcher ``release``s it as
-soon as the op's backward has run (or immediately when the op is not
-taped, e.g. under the inference fast path).  Buffers referenced by a graph
-that is never backpropagated are simply garbage-collected — the pool only
-tracks free buffers, never checked-out ones.
+records it in ``ctx.workspaces``.  A pooled buffer lives only from a taped
+forward to the backward that consumes it: the tensor dispatcher's backward
+loop is the one caller of ``release``.  An untaped forward (``no_grad``,
+``inference_mode``, evaluation, serving) drops its buffers together with
+the context, so the pool never retains evaluation-shaped patch
+matrices (see ``docs/architecture.md`` for the measured peak RSS).
+Buffers referenced by a graph that is never backpropagated are simply
+garbage-collected — the pool only tracks free buffers, never checked-out
+ones.
 
 Thread safety: the free lists are **thread-local** — the ``free`` dict of
-the per-thread :mod:`repro.ops.modes` record.  Serving runs member
-forwards on several threads at once (the batcher's pump, clients served
-without batching, the executor's deadline pool), and a shared free list
-would let two conv kernels pop the *same* buffer and overwrite each
-other's patch matrices mid-GEMM.  Per-thread pools make acquire/release
-lock-free and race-free; the acquire→release pair always happens on one
-thread (the dispatcher releases in the same call stack that acquired), so
-buffers never migrate between pools.  The cost is one steady-state buffer
-set per thread that runs members: the pump, the deadline pool's workers,
-and each client thread served with ``batching=False``.
+the per-thread :mod:`repro.ops.modes` record.  Forwards run on several
+threads at once, and a shared free list would let two conv kernels pop
+the *same* buffer and overwrite each other's patch matrices mid-GEMM.
+Per-thread pools make acquire/release lock-free and race-free; a buffer
+goes back to the pool of the thread that runs the backward.  Only threads
+that run taped graphs hold buffers: serving threads (the batcher's pump,
+the deadline pool's workers, clients served with ``batching=False``) run
+untaped member forwards and pool nothing.
 """
 
 from __future__ import annotations

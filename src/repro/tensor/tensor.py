@@ -125,10 +125,8 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
         out._op = name
         return out
 
-    # Untaped: nothing will ever consume the saved context, so pooled
-    # workspaces go straight back.
-    for buffer in ctx.workspaces:
-        _workspace.release(buffer)
+    # Untaped: no backward will consume the context, so its workspaces
+    # are dropped with it; only a backward returns buffers to the pool.
     if mode.fastpath:
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
@@ -292,7 +290,8 @@ class Tensor:
                     if parent_grad is not None and parent.requires_grad:
                         parent._accumulate(parent_grad)
             # Free the tape as it is consumed: drop saved activations and
-            # return pooled workspaces so memory is reclaimed immediately.
+            # return pooled workspaces (the only place buffers go back to
+            # the pool) so memory is reclaimed immediately.
             for buffer in ctx.workspaces:
                 _workspace.release(buffer)
             node._parents = ()

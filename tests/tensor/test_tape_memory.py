@@ -11,7 +11,10 @@ import weakref
 
 import numpy as np
 
+from repro.core import EDDEConfig, EDDETrainer
+from repro.models import ModelFactory, ResNetCIFAR
 from repro.nn import functional as F
+from repro.nn.losses import predict_probs
 from repro.ops import workspace
 from repro.tensor import Tensor, inference_mode
 
@@ -73,14 +76,30 @@ class TestWorkspaceReturn:
         assert workspace.pooled_bytes() > 0
         workspace.clear()
 
-    def test_inference_mode_returns_workspace_immediately(self):
+    def test_inference_mode_drops_workspace(self):
+        # Only a backward returns a buffer to the pool: an untaped
+        # forward drops its workspaces together with its context.
         workspace.clear()
         x = Tensor(RNG.normal(size=(2, 2, 6, 6)))
         w = Tensor(RNG.normal(size=(3, 2, 3, 3)) * 0.5)
         with inference_mode():
             F.conv2d(x, w, None)
-        assert workspace.pooled_bytes() > 0
+        assert workspace.pooled_bytes() == 0
         workspace.clear()
+
+    def test_max_pool_pools_nothing_under_inference(self):
+        workspace.clear()
+        x = Tensor(RNG.normal(size=(2, 3, 6, 6)))
+        with inference_mode():
+            F.max_pool2d(x, 2)
+        assert workspace.pooled_bytes() == 0
+
+    def test_max_pool_pools_nothing_after_backward(self):
+        workspace.clear()
+        x = t((2, 3, 6, 6))
+        F.max_pool2d(x, 2).sum().backward()
+        assert x.grad is not None
+        assert workspace.pooled_bytes() == 0
 
     def test_pool_reuses_buffers_across_calls(self):
         workspace.clear()
@@ -89,3 +108,32 @@ class TestWorkspaceReturn:
         second = workspace.acquire((4, 4), np.float64)
         assert second is first
         workspace.clear()
+
+
+class TestUntapedForwardsPoolNothing:
+    """Evaluation-shaped patch matrices never outlive their forward."""
+
+    def test_predict_probs_leaves_pool_empty(self):
+        workspace.clear()
+        model = ResNetCIFAR(depth=8, num_classes=4, base_width=4, rng=0)
+        probs = predict_probs(model, RNG.normal(size=(6, 3, 8, 8)))
+        assert probs.shape == (6, 4)
+        assert workspace.pooled_bytes() == 0
+
+    def test_fit_pools_only_training_batch_shapes(self, tiny_image_split):
+        split = tiny_image_split
+        factory = ModelFactory(ResNetCIFAR, depth=8,
+                               num_classes=split.num_classes, base_width=4)
+        config = EDDEConfig(num_models=2, gamma=0.1, beta=0.6,
+                            first_epochs=1, later_epochs=1,
+                            lr=0.05, batch_size=32)
+        assert len(split.train) % config.batch_size == 0
+        workspace.clear()
+        EDDETrainer(factory, config).fit(split.train, split.test, rng=0)
+        leading = {key[0][0] for key, stack in workspace._free().items()
+                   if stack}
+        workspace.clear()
+        # Training steps recycle their buffers; the engine's evaluation
+        # chunks (the whole train and test splits) leave none behind.
+        assert leading == {config.batch_size}
+        assert not leading & {len(split.train), len(split.test)}
