@@ -6,6 +6,10 @@ paper artefacts), this one measures the op layer itself:
 * per-op forward/backward microseconds at training-like shapes, taken
   straight from the op profiler (the same numbers ``--profile-ops``
   reports during a real fit);
+* an untaped ``conv2d`` at an evaluation chunk's shape (256 rows under
+  ``inference_mode``, as engine evaluation and ``predict_probs`` run it):
+  its forward µs and its ``tracemalloc`` peak bytes, the working set the
+  blocked untaped unfold bounds;
 * the fused ``softmax_cross_entropy`` / ``edde_loss`` kernels and the
   one-op ``nn.Linear`` against the multi-node chains they replace — the
   one-op path must win.  Each sample times the two paths back to back,
@@ -23,6 +27,7 @@ dtype (float32 unless ``REPRO_DTYPE`` overrides).
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 from _common import emit, run_once, write_json
@@ -106,6 +111,36 @@ def _bench_micro(repeats: int = 20) -> dict:
                 "forward_max_us": max(forward),
             }
     return results
+
+
+def _bench_untaped_conv(repeats: int = 20) -> dict:
+    """An evaluation chunk's untaped ``conv2d``: forward µs and peak bytes.
+
+    The forward µs come from the profiler, one repeat at a time as in
+    :func:`_bench_micro`; the peak is ``tracemalloc``'s (numpy reports
+    its buffers there) over one more call, so it is the conv's own
+    working set: its output plus the patch blocks alive at once.
+    """
+    x = Tensor(RNG.normal(size=(256, 8, 10, 10)).astype(default_dtype()))
+    w = Tensor((RNG.normal(size=(8, 8, 3, 3)) * 0.1).astype(default_dtype()))
+    forward = []
+    with inference_mode():
+        F.conv2d(x, w, None, padding=1)  # warm-up
+        for _ in range(repeats):
+            with profile_ops() as prof:
+                F.conv2d(x, w, None, padding=1)
+            forward.append(1e6 * prof.summary()["conv2d"]["forward_seconds"])
+        tracemalloc.start()
+        try:
+            F.conv2d(x, w, None, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return {"conv2d": {"case": "conv2d 256x8x10x10 k3",
+                       "forward_us": float(np.mean(forward)),
+                       "forward_median_us": float(np.median(forward)),
+                       "forward_max_us": max(forward),
+                       "peak_bytes": peak}}
 
 
 # ----------------------------------------------------------------------
@@ -207,19 +242,29 @@ def _render(payload: dict) -> str:
                           "fwd max", "bwd µs"], micro_rows,
                          title="Per-op microseconds (profiler-measured; "
                                "fwd µs is the mean over repeats)")
+    untaped_rows = [[name, row["case"], f"{row['forward_us']:.1f}",
+                     f"{row['forward_median_us']:.1f}",
+                     f"{row['forward_max_us']:.1f}",
+                     f"{row['peak_bytes'] / 1e6:.2f}"]
+                    for name, row in payload["untaped"].items()]
+    untaped = format_table(["op", "shape", "fwd µs", "fwd median", "fwd max",
+                            "peak MB"], untaped_rows,
+                           title="Untaped forward (inference_mode; peak is "
+                                 "tracemalloc's over one call)")
     fused_rows = [[name, f"{row['fused_us']:.1f}", f"{row['unfused_us']:.1f}",
                    f"{row['speedup']:.2f}x"]
                   for name, row in payload["fused"].items()]
     fused = format_table(["kernel", "fused µs", "unfused µs", "speedup"],
                          fused_rows, title="Fused kernels vs unfused chains "
                                            "(forward+backward)")
-    return f"{micro}\n\n{fused}"
+    return f"{micro}\n\n{untaped}\n\n{fused}"
 
 
 def _run_bench_ops() -> dict:
     return {
         "dtype": np.dtype(default_dtype()).name,
         "ops": _bench_micro(),
+        "untaped": _bench_untaped_conv(),
         "fused": _bench_fused(),
     }
 

@@ -2,10 +2,21 @@
 
 The convolutions own their zero padding, so a padded convolution is one
 dispatch and one graph node.  The im2col patch matrix — the hottest
-allocation in training — is checked out of :mod:`repro.ops.workspace`
-and recorded in ``ctx.workspaces``; the tensor dispatcher returns it to
-the pool after backward, and an untaped forward drops it with its
-context.
+allocation in training — is sized by whether the op is taped
+(``ctx.taped``):
+
+* a **taped** forward unfolds the whole batch into one buffer checked out
+  of :mod:`repro.ops.workspace`, records it in ``ctx.workspaces`` and keeps
+  the patch matrix for the backward; the tensor dispatcher returns the
+  buffer to the pool after backward;
+* an **untaped** forward (``no_grad``, ``inference_mode``, evaluation,
+  serving) keeps nothing, so ``conv2d`` unfolds and multiplies at most
+  :data:`_UNTAPED_BLOCK` images at a time, each block into its own
+  ``np.empty`` buffer, writing each block's product into its slice of
+  the output.  It never touches the pool.
+
+Blocking is bit-identical: numpy runs ``w_mat @ cols`` as one GEMM per
+image, so grouping the images changes no GEMM's shape.
 
 ``conv2d`` fills its (N, C, KH, KW, OH, OW) patch buffer one of two
 ways, chosen from the op's own stride, kernel and padding:
@@ -36,7 +47,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops import workspace
+from repro.ops.modes import state as _modes
 from repro.ops.registry import register
+
+# An untaped conv2d unfolds and multiplies at most this many images at a
+# time.  It is the training batch of every scenario, so evaluation's
+# patch matrix is no larger than a training step's: 0.9 MB at ResNet's
+# first stage (32 × 8·3·3 × 10·10 float32), where one 256-row evaluation
+# chunk unfolded whole took 7.4 MB.
+_UNTAPED_BLOCK = 32
 
 
 def _conv_output_size(size: int, kernel: int, stride: int) -> int:
@@ -60,16 +79,32 @@ def _interior(ndim: int, padding: int) -> tuple:
         (slice(padding, -padding),) * (ndim - 2)
 
 
-def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
-    """Unfold (N, C, H, W) into (N, C*kh*kw, L) using a pooled buffer.
+def _patch_buffer(shape: tuple, dtype) -> np.ndarray:
+    """A patch buffer: pooled in a taped forward, the caller's own if not.
 
-    Returns ``(cols, buffer)`` where ``cols`` is a reshaped view of the
-    pooled ``buffer``; the caller owns the buffer until it is released.
+    Only a taped forward's buffer comes back to the pool, after its
+    backward; an untaped forward taking one would pop a training buffer
+    of the same shape and drop it.  The unfold helpers keep their
+    context-free ``(x, k)`` / ``(x, kh, kw, stride)`` signatures (the
+    parity tests swap two-argument references in for them), so the conv
+    forwards copy ``ctx.taped`` to the thread's mode record
+    (:mod:`repro.ops.modes`) for them to read here.
+    """
+    if _modes.taped:
+        return workspace.acquire(shape, dtype)
+    return np.empty(shape, dtype=dtype)
+
+
+def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
+    """Unfold (N, C, H, W) into (N, C*kh*kw, L) using a :func:`_patch_buffer`.
+
+    Returns ``(cols, buffer)`` where ``cols`` is a reshaped view of
+    ``buffer``; a taped caller owns the buffer until it is released.
     """
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
-    buffer = workspace.acquire((n, c, kh, kw, out_h, out_w), x.dtype)
+    buffer = _patch_buffer((n, c, kh, kw, out_h, out_w), x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
@@ -89,7 +124,7 @@ def _im2col_same(x: np.ndarray, k: int):
     p = k // 2
     hw = h * w
     edge = p * w + p
-    buffer = workspace.acquire((n, c, k, k, h, w), x.dtype)
+    buffer = _patch_buffer((n, c, k, k, h, w), x.dtype)
     taps = buffer.reshape(n * c, k, k, hw)
     images = x.reshape(n * c, h, w)
     flat = images.reshape(n * c, hw)
@@ -139,30 +174,43 @@ def _col2im(cols, x_shape, kh, kw, stride):
     return x.transpose(2, 3, 0, 1)
 
 
+def _unfold(x, kh, kw, stride, padding):
+    """``(cols, buffer)`` of ``x`` for a conv2d: shifted runs or slices."""
+    if stride == 1 and kh == kw == 2 * padding + 1:
+        return _im2col_same(x, kh)                     # (N, C*KH*KW, L)
+    return _im2col_pooled(_pad(x, padding), kh, kw, stride)
+
+
 def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
     bias = rest[0] if rest else None
     f, _, kh, kw = weight.shape
-    if stride == 1 and kh == kw == 2 * padding + 1:
-        cols, buffer = _im2col_same(x, kh)             # (N, C*KH*KW, L)
-    else:
-        cols, buffer = _im2col_pooled(_pad(x, padding), kh, kw, stride)
     n, c, h, w = x.shape
     h, w = h + 2 * padding, w + 2 * padding            # the padded shape
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
-
     w_mat = weight.reshape(f, -1)                      # (F, C*KH*KW)
-    out = w_mat @ cols                                 # (N, F, L) via BLAS
+
+    _modes.taped = ctx.taped                           # for _patch_buffer
+    if ctx.taped:
+        cols, buffer = _unfold(x, kh, kw, stride, padding)
+        out = w_mat @ cols                             # (N, F, L) via BLAS
+        ctx.workspaces = (buffer,)
+        ctx.cols = cols
+        ctx.w_mat = w_mat
+        ctx.weight_shape = weight.shape
+        ctx.x_shape = (n, c, h, w)
+        ctx.dims = (n, f, out_h, out_w, kh, kw, stride)
+        ctx.padding = padding
+    else:
+        out = np.empty((n, f, out_h * out_w),
+                       dtype=np.result_type(w_mat.dtype, x.dtype))
+        for start in range(0, n, _UNTAPED_BLOCK):
+            block = slice(start, start + _UNTAPED_BLOCK)
+            cols = _unfold(x[block], kh, kw, stride, padding)[0]
+            np.matmul(w_mat, cols, out=out[block])
+            del cols                     # before the next block's unfold
     if bias is not None:
         out += bias.reshape(1, f, 1)
-
-    ctx.workspaces = (buffer,)
-    ctx.cols = cols
-    ctx.w_mat = w_mat
-    ctx.weight_shape = weight.shape
-    ctx.x_shape = (n, c, h, w)
-    ctx.dims = (n, f, out_h, out_w, kh, kw, stride)
-    ctx.padding = padding
     return out.reshape(n, f, out_h, out_w)
 
 
@@ -193,7 +241,8 @@ def _conv1d_forward(ctx, x, weight, *rest, stride, padding):
     f, _, k = weight.shape
     out_l = _conv_output_size(length, k, stride)
 
-    buffer = workspace.acquire((n, c, k, out_l), x.dtype)
+    _modes.taped = ctx.taped                           # for _patch_buffer
+    buffer = _patch_buffer((n, c, k, out_l), x.dtype)
     for i in range(k):
         buffer[:, :, i] = x[:, :, i:i + stride * out_l:stride]
     cols = buffer.reshape(n, c * k, out_l)

@@ -23,6 +23,15 @@ because snapshots and serving hot swaps hold references to the old ones.
 The batch statistics come from the kernel's own sum: the mean as
 ``s1 / count`` and the variance by ``np.var``'s recipe, both bitwise equal
 to ``np.mean``/``np.var``.
+
+In eval mode the forward normalises with the running statistics.  When
+the op is untaped (``ctx.taped`` false: evaluation, ``predict_probs``,
+serving) it divides, scales and shifts its fresh ``x - running_mean``
+array in place instead of allocating ``x_hat``, ``x_hat * gamma`` and
+their sum — the same ufuncs on the same values, so the same bits.  Only a
+call whose operands would promote past that array's dtype (say float32
+activations with float64 ``gamma``) keeps the allocating expression, so
+its output dtype does not change.
 """
 
 from __future__ import annotations
@@ -62,15 +71,25 @@ def _batch_norm_forward(ctx, x, _x, gamma, beta, axes, eps, momentum,
     else:
         centered = x - running["running_mean"].reshape(shape)
         std = np.sqrt(running["running_var"].reshape(shape) + eps)
-    x_hat = centered / std
     gamma = gamma.reshape(shape)
+    beta = beta.reshape(shape)
+    if not (training or ctx.taped) and \
+            np.result_type(centered, std, gamma, beta) == centered.dtype:
+        # Untaped eval: no backward reads x_hat, so the fresh ``centered``
+        # is divided, scaled and shifted in place.  The ufuncs and dtypes
+        # are the expression's below, so the values are too.
+        np.divide(centered, std, out=centered)
+        centered *= gamma
+        centered += beta
+        return centered
+    x_hat = centered / std
 
     ctx.training = training
     ctx.shape = shape
     ctx.x_hat = x_hat
     ctx.std = std
     ctx.gamma = gamma
-    return x_hat * gamma + beta.reshape(shape)
+    return x_hat * gamma + beta
 
 
 def _batch_norm_backward(ctx, g):

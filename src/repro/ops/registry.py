@@ -37,18 +37,23 @@ class OpContext:
     """Per-call scratch space linking a forward pass to its backward.
 
     Kernels attach whatever they need (saved arrays, masks, shapes) as
-    plain attributes.  Two attributes have dispatcher-level meaning:
+    plain attributes.  Three attributes have dispatcher-level meaning:
 
     ``needs``
         Tuple of bools — which inputs require gradients.
+    ``taped``
+        Whether the output is recorded for a backward (grad mode on and
+        some input needs a gradient), set before the forward runs.  An
+        untaped forward saves nothing for a backward and takes nothing
+        from the workspace pool.
     ``workspaces``
         Tuple of pooled buffers (see :mod:`repro.ops.workspace`) checked
-        out by the forward pass; the dispatcher returns them to the pool
-        once the backward pass has consumed them.  An untaped op's
-        buffers are dropped with its context, never pooled.
+        out by a taped forward; the dispatcher returns them to the pool
+        once the backward pass has consumed them.
     """
 
     needs: Tuple[bool, ...] = ()
+    taped: bool = False
     workspaces: tuple = ()
 
 

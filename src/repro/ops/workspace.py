@@ -6,16 +6,18 @@ buffer is re-allocated every call.  The pool hands such buffers out and
 takes them back, so steady-state training does one allocation per
 distinct shape instead of one per call.
 
-Ownership protocol: a kernel ``acquire``s a buffer in its forward pass and
-records it in ``ctx.workspaces``.  A pooled buffer lives only from a taped
-forward to the backward that consumes it: the tensor dispatcher's backward
-loop is the one caller of ``release``.  An untaped forward (``no_grad``,
-``inference_mode``, evaluation, serving) drops its buffers together with
-the context, so the pool never retains evaluation-shaped patch
-matrices (see ``docs/architecture.md`` for the measured peak RSS).
-Buffers referenced by a graph that is never backpropagated are simply
-garbage-collected — the pool only tracks free buffers, never checked-out
-ones.
+Ownership protocol: only a taped forward calls ``acquire`` (the op's
+``ctx.taped``, decided by the dispatcher before the forward), and it
+records the buffer in ``ctx.workspaces``.  A pooled buffer lives only
+from that forward to the backward that consumes it: the tensor
+dispatcher's backward loop is the one caller of ``release``.  An untaped
+forward (``no_grad``, ``inference_mode``, evaluation, serving) never
+touches the pool: it unfolds into its own ``np.empty`` blocks (see
+:mod:`repro.ops.conv`), so it neither retains evaluation-shaped patch
+matrices nor pops a pooled training buffer of the same shape (see
+``docs/architecture.md`` for the measured peak RSS).  Buffers referenced
+by a graph that is never backpropagated are simply garbage-collected —
+the pool only tracks free buffers, never checked-out ones.
 
 Thread safety: the free lists are **thread-local** — the ``free`` dict of
 the per-thread :mod:`repro.ops.modes` record.  Forwards run on several

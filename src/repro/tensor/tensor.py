@@ -101,10 +101,13 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
     """
     op = get_op(name)
     ctx = OpContext()
-    ctx.needs = tuple(t.requires_grad for t in inputs)
+    ctx.needs = needs = tuple(t.requires_grad for t in inputs)
     arrays = tuple(t.data for t in inputs)
 
     mode = _modes
+    # Decided before the forward, so an untaped kernel can skip what only
+    # a backward needs (saved arrays, pooled buffers, full-size blocks).
+    ctx.taped = taped = mode.grad and any(needs)
     prof = mode.profiler
     if prof is None:
         data = op.forward(ctx, *arrays, **params)
@@ -117,7 +120,7 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
     if mode.sanitize:
         _sanitize.check_forward(op, arrays, params, data)
 
-    if mode.grad and any(ctx.needs):
+    if taped:
         out = Tensor(data, requires_grad=True)
         out._parents = inputs
         out._ctx = ctx
@@ -125,8 +128,8 @@ def apply(name: str, inputs: Tuple["Tensor", ...], **params) -> "Tensor":
         out._op = name
         return out
 
-    # Untaped: no backward will consume the context, so its workspaces
-    # are dropped with it; only a backward returns buffers to the pool.
+    # Untaped: no backward will consume the context, and the kernel took
+    # nothing from the workspace pool.
     if mode.fastpath:
         if not isinstance(data, np.ndarray):
             data = np.asarray(data)
