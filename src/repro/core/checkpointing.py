@@ -23,7 +23,7 @@ Checkpoint layout
 -----------------
 ``<directory>/manifest.json`` lists the retained rounds; each round is one
 self-contained ``round_NNNN.npz`` written via the same atomic
-write-to-temp + ``os.replace`` path as :func:`repro.core.serialization.
+write-to-temp + rename path as :func:`repro.core.serialization.
 save_ensemble`, and holding:
 
 * the member ``state_dict``s, α's and architecture tag (the exact
@@ -34,13 +34,14 @@ save_ensemble`, and holding:
   points, cumulative epochs, result metadata, and the tracked RNG's
   bit-generator state.
 
-Retention is ``keep_last``: older round files are pruned as new ones land.
+Retention is ``keep_last``: older round files are pruned as new ones land,
+and only after the manifest that stops naming them is published, so a kill
+at any point of a save leaves a manifest whose rounds all exist.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
@@ -54,6 +55,7 @@ from repro.core.serialization import (
     CheckpointError,
     PathLike,
     atomic_savez,
+    atomic_write,
     ensemble_payload,
     restore_ensemble,
 )
@@ -241,19 +243,14 @@ class CheckpointManager(Callback):
                   if entry["round"] < completed]
         rounds.append({"round": completed, "file": filename})
         rounds.sort(key=lambda entry: entry["round"])
-        for stale in rounds[:-self.keep_last]:
-            (self.directory / stale["file"]).unlink(missing_ok=True)
         manifest["rounds"] = rounds[-self.keep_last:]
         manifest["method"] = method
         manifest["keep_last"] = self.keep_last
-
-        tmp = self.directory / f".{_MANIFEST}.tmp{os.getpid()}"
-        try:
-            tmp.write_text(json.dumps(manifest, indent=2))
-            os.replace(tmp, self.directory / _MANIFEST)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_write(self.directory / _MANIFEST) as handle:
+            handle.write(json.dumps(manifest, indent=2).encode())
+        # Prune only once the published manifest no longer names them.
+        for stale in rounds[:-self.keep_last]:
+            (self.directory / stale["file"]).unlink(missing_ok=True)
 
     # -- reading -------------------------------------------------------
     def _read_manifest(self, strict: bool = True) -> Optional[dict]:

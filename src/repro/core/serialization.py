@@ -7,13 +7,14 @@ members from a :class:`~repro.models.factory.ModelFactory`, so the
 architecture hyperparameters live in code, not in the archive — the same
 contract as the rest of the library (weights are data, topology is code).
 
-Writes are atomic *and durable*: the archive is written to a sibling
-temporary file, fsynced, moved into place with :func:`os.replace`, and
-the directory entry is fsynced (best-effort), so neither an interrupted
-save nor a crash right after it can leave a truncated or missing archive.
+Writes are atomic *and durable* (:func:`atomic_write`): the archive is
+written to a sibling temporary file, fsynced, renamed into place, and the
+directory entry is fsynced (best-effort), so neither an interrupted save
+nor a crash right after it can leave a truncated or missing archive.
 The same payload layout (and the same atomic-write path) backs the
 per-round training checkpoints in :mod:`repro.core.checkpointing` — there
-is exactly one member-weights format in the library.
+is exactly one member-weights format in the library — and every JSON
+manifest or artifact the library writes goes through the same helper.
 
 Loading has two modes.  **Strict** (the default) raises on the first
 problem: archive-level damage (unreadable zip, missing α vector,
@@ -36,6 +37,7 @@ Format history
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import re
@@ -43,7 +45,7 @@ import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -114,7 +116,7 @@ def _npz_path(path: PathLike) -> pathlib.Path:
 def _fsync_directory(directory: pathlib.Path) -> None:
     """Best-effort fsync of a directory entry after a rename.
 
-    ``os.replace`` makes the swap atomic, but only a directory fsync makes
+    The rename makes the swap atomic, but only a directory fsync makes
     it *durable* — without it a crash can roll the rename back and leave
     no archive at all.  Some filesystems (and non-POSIX platforms) refuse
     to open directories; that costs durability, not atomicity, so errors
@@ -132,21 +134,21 @@ def _fsync_directory(directory: pathlib.Path) -> None:
         os.close(fd)
 
 
-def atomic_savez(path: PathLike, payload: Dict[str, np.ndarray]) -> pathlib.Path:
-    """Write an ``.npz`` archive atomically and durably; returns the path.
+@contextlib.contextmanager
+def atomic_write(path: pathlib.Path) -> Iterator[BinaryIO]:
+    """Write ``path`` atomically and durably through a binary handle.
 
-    The payload goes to a sibling temporary file first, is fsynced, and is
-    moved into place with ``os.replace``; the parent directory is then
-    fsynced (best-effort), so readers only ever see a complete archive and
-    a crash immediately after the save cannot lose the rename.  Writing
-    through a file object also sidesteps ``np.savez``'s automatic ``.npz``
-    suffixing, which would otherwise break the rename.
+    The block writes to a sibling temporary file, which is flushed,
+    fsynced and moved into place with ``os.replace``; the parent
+    directory is then fsynced (best-effort).  Readers only ever see the
+    old file or the complete new one, and a crash right after the block
+    cannot lose the rename.  If the block raises, the temporary file is
+    removed and ``path`` is left as it was.
     """
-    path = _npz_path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            np.savez(handle, **payload)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -154,6 +156,17 @@ def atomic_savez(path: PathLike, payload: Dict[str, np.ndarray]) -> pathlib.Path
         tmp.unlink(missing_ok=True)
         raise
     _fsync_directory(path.parent)
+
+
+def atomic_savez(path: PathLike, payload: Dict[str, np.ndarray]) -> pathlib.Path:
+    """Write an ``.npz`` archive with :func:`atomic_write`; returns the path.
+
+    Writing through a file object also sidesteps ``np.savez``'s automatic
+    ``.npz`` suffixing, which would otherwise break the rename.
+    """
+    path = _npz_path(path)
+    with atomic_write(path) as handle:
+        np.savez(handle, **payload)
     return path
 
 

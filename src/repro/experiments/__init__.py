@@ -11,10 +11,9 @@ from repro.experiments.variants import (
     run_edde_correlate_previous_model,
     run_edde_cumulative_weights,
 )
-from repro.experiments.replication import ReplicatedResult
 
-# run_replicated / compare_replicated moved up a layer: they are thin
-# grids now — import them from repro.experiments.grid.
+# Seed statistics (mean, sample std, stderr, the z-screen) are folded
+# from run records by repro.experiments.grid's aggregate, one layer up.
 
 __all__ = [
     "Scenario",
@@ -26,5 +25,4 @@ __all__ = [
     "run_effectiveness",
     "run_edde_cumulative_weights",
     "run_edde_correlate_previous_model",
-    "ReplicatedResult",
 ]

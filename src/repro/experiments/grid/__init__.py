@@ -12,7 +12,10 @@ grid`` CLI subcommand run through this package.
 from repro.experiments.grid.aggregate import (
     aggregate_records,
     find_group,
+    sample_std,
     significance_matrix,
+    standard_error,
+    z_screen,
 )
 from repro.experiments.grid.collectors import (
     record_fit_result,
@@ -29,7 +32,6 @@ from repro.experiments.grid.executor import (
     grid_result,
     run_grid,
 )
-from repro.experiments.grid.replicate import compare_replicated, run_replicated
 from repro.experiments.grid.reporting import (
     emit,
     ensure_results_dir,
@@ -41,7 +43,6 @@ from repro.experiments.grid.runners import (
     RunOutput,
     beta_teacher_rng,
     register_runner,
-    register_scenario,
     resolve_runner,
     resolve_scenario,
     run_rng,
@@ -53,22 +54,15 @@ from repro.experiments.grid.spec import (
     RunSpec,
     stable_digest,
 )
-from repro.experiments.replication import (
-    sample_std,
-    standard_error,
-    z_screen,
-)
 
 __all__ = [
     "GridExecutor", "GridResult", "GridSpec", "GridSpecError",
     "GridStateError", "RunContext", "RunOutput", "RunRecord", "RunSpec",
     "aggregate_records", "beta_teacher_rng", "collect_records",
-    "compare_replicated", "emit",
-    "ensure_results_dir", "execute_run", "find_group",
+    "emit", "ensure_results_dir", "execute_run", "find_group",
     "grid_result", "record_fit_result", "register_collector",
-    "register_runner", "register_scenario", "resolve_collector",
-    "resolve_runner", "resolve_scenario", "run_grid", "run_replicated",
-    "run_rng", "sample_std", "scenario_scope", "significance_matrix",
-    "stable_digest", "standard_error", "write_grid_artifact", "write_json",
-    "z_screen",
+    "register_runner", "resolve_collector", "resolve_runner",
+    "resolve_scenario", "run_grid", "run_rng", "sample_std",
+    "scenario_scope", "significance_matrix", "stable_digest",
+    "standard_error", "write_grid_artifact", "write_json", "z_screen",
 ]

@@ -14,15 +14,42 @@ CI grid-smoke job).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.replication import (
-    sample_std,
-    standard_error,
-    z_screen,
-)
+
+def sample_std(values: Sequence[float]) -> float:
+    """Sample standard deviation (``ddof=1``); 0.0 for fewer than 2 values.
+
+    The n=1 guard keeps single-seed grids finite instead of
+    warning-and-NaN-ing.
+    """
+    if len(values) < 2:
+        return 0.0
+    return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
+
+
+def standard_error(values: Sequence[float]) -> float:
+    """Standard error of the mean under the sample-std convention."""
+    if not values:
+        return float("nan")
+    return sample_std(values) / math.sqrt(len(values))
+
+
+def z_screen(mean_a: float, stderr_a: float,
+             mean_b: float, stderr_b: float, z: float = 1.0) -> bool:
+    """Whether mean ``a`` exceeds ``b`` by ``z`` combined standard errors.
+
+    A coarse two-sample z-style screen, not a formal test — enough to
+    separate 'real ordering' from single-seed noise in grid summaries.
+    Callers must have a spread estimate on both sides: with n < 2 the
+    stderr degenerates to 0 and any nonzero difference would pass, so
+    :func:`significance_matrix` omits such pairs instead of calling this.
+    """
+    spread = math.hypot(stderr_a, stderr_b)
+    return bool(mean_a - mean_b > z * spread)
 
 
 def _numeric(value: Any) -> Optional[float]:

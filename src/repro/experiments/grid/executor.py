@@ -25,15 +25,14 @@ State directory layout::
 
 from __future__ import annotations
 
-import importlib
 import json
 import multiprocessing
-import os
 import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.serialization import atomic_write
 from repro.experiments.grid.aggregate import (
     aggregate_records,
     jsonable,
@@ -66,7 +65,6 @@ class RunRecord:
     meta: Dict[str, Any] = field(default_factory=dict)
     seconds: float = 0.0
     error: str = ""
-    result: Any = None               # rich object, in-memory runs only
 
     def to_payload(self) -> dict:
         return {
@@ -87,13 +85,9 @@ class RunRecord:
 
 def _atomic_write_json(path: pathlib.Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as handle:
+        handle.write((json.dumps(payload, indent=2, sort_keys=True)
+                      + "\n").encode())
 
 
 def _read_json(path: pathlib.Path) -> Optional[dict]:
@@ -107,8 +101,8 @@ def _read_json(path: pathlib.Path) -> Optional[dict]:
 # Single-run execution (shared by the serial path and pool workers).
 
 def execute_run(spec: GridSpec, run: RunSpec,
-                out_dir: Optional[pathlib.Path], resume: bool,
-                keep_result: bool = False) -> Tuple[RunRecord, bool]:
+                out_dir: Optional[pathlib.Path],
+                resume: bool) -> Tuple[RunRecord, bool]:
     """Execute (or skip) one run; returns ``(record, executed)``.
 
     With an out directory, a ``done`` manifest entry for this spec hash
@@ -125,10 +119,7 @@ def execute_run(spec: GridSpec, run: RunSpec,
                 and entry.get("spec_hash") == spec.spec_hash:
             return RunRecord.from_payload(entry), False
 
-    context = RunContext(spec=spec, run_dir=run_dir, resume=resume,
-                         keep_result=keep_result)
-    if spec.runner_module:
-        importlib.import_module(spec.runner_module)
+    context = RunContext(spec=spec, run_dir=run_dir, resume=resume)
     runner = resolve_runner(run.runner)
     start = time.perf_counter()
     try:
@@ -148,7 +139,7 @@ def execute_run(spec: GridSpec, run: RunSpec,
             factors=run.factor_dict, method=run.method,
             scenario=run.scenario, seed=run.seed, status="done",
             metrics=output.metrics, meta=output.meta,
-            seconds=time.perf_counter() - start, result=output.result)
+            seconds=time.perf_counter() - start)
     if manifest_path is not None:
         payload = record.to_payload()
         payload["spec_hash"] = spec.spec_hash
@@ -173,8 +164,7 @@ class GridExecutor:
 
     def __init__(self, spec: GridSpec, out_dir=None,
                  shard_index: int = 0, num_shards: int = 1,
-                 workers: int = 1, resume: bool = False,
-                 keep_results: bool = False):
+                 workers: int = 1, resume: bool = False):
         if num_shards < 1 or not 0 <= shard_index < num_shards:
             raise ValueError(f"bad shard {shard_index}/{num_shards}")
         if workers < 1:
@@ -182,17 +172,12 @@ class GridExecutor:
         if out_dir is None and workers > 1:
             raise ValueError("parallel workers need an out_dir for their "
                              "manifest (in-memory grids run serially)")
-        if keep_results and workers > 1:
-            raise ValueError("keep_results needs workers=1: pool workers "
-                             "return JSON payloads, which cannot carry "
-                             "live result objects")
         self.spec = spec
         self.out_dir = pathlib.Path(out_dir) if out_dir is not None else None
         self.shard_index = shard_index
         self.num_shards = num_shards
         self.workers = workers
         self.resume = resume
-        self.keep_results = keep_results
         self.runs = spec.expand()
         if self.out_dir is not None:
             self._check_state_dir()
@@ -236,8 +221,8 @@ class GridExecutor:
         """Run this shard; returns its records in run-table order."""
         runs = self.shard_runs()
         if self.workers == 1:
-            records = [execute_run(self.spec, run, self.out_dir, self.resume,
-                                   keep_result=self.keep_results)[0]
+            records = [execute_run(self.spec, run, self.out_dir,
+                                   self.resume)[0]
                        for run in runs]
         else:
             spec_payload = self.spec.to_payload()
@@ -341,30 +326,23 @@ def grid_result(spec: GridSpec, records: Sequence[RunRecord],
 
 def run_grid(spec: GridSpec, out_dir=None, num_shards: int = 1,
              workers: int = 1, resume: bool = False,
-             keep_results: bool = False, artifact_dir=None) -> GridResult:
+             artifact_dir=None) -> GridResult:
     """Execute a whole grid (every shard) and aggregate it.
 
     ``out_dir=None`` runs fully in memory (no manifest, no per-run
-    checkpoints) — the mode :func:`~repro.experiments.grid.replicate.
-    run_replicated` and fast tests use.  With an out directory the grid
-    is durable: killing and re-invoking with ``resume=True`` completes
-    the remaining runs.  ``keep_results=True`` retains each run's live
-    result object on its record and therefore requires the in-memory
-    mode — a durable grid re-reads records from the JSON manifest, which
-    cannot carry them.  ``artifact_dir`` additionally writes the
-    ``GRID_<name>.json`` aggregate artifact via
+    checkpoints), the mode fast tests use.  With an out directory the
+    grid is durable: killing and re-invoking with ``resume=True``
+    completes the remaining runs.  Either way each run's outcome is its
+    JSON-ready :class:`RunRecord` (metrics and meta), and the aggregates
+    are folded from those records alone.  ``artifact_dir`` additionally
+    writes the ``GRID_<name>.json`` aggregate artifact via
     :mod:`~repro.experiments.grid.reporting`.
     """
-    if keep_results and out_dir is not None:
-        raise ValueError("keep_results needs out_dir=None: a durable grid "
-                         "re-reads its records from the JSON manifest, "
-                         "which cannot carry live result objects")
     records: List[RunRecord] = []
     for shard_index in range(num_shards):
         executor = GridExecutor(
             spec, out_dir=out_dir, shard_index=shard_index,
-            num_shards=num_shards, workers=workers, resume=resume,
-            keep_results=keep_results)
+            num_shards=num_shards, workers=workers, resume=resume)
         records.extend(executor.execute())
     missing: List[str] = []
     if out_dir is not None:

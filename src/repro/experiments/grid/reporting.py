@@ -16,6 +16,8 @@ import os
 import pathlib
 from typing import Any
 
+from repro.core.serialization import atomic_write
+
 
 def default_results_dir() -> pathlib.Path:
     return pathlib.Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
@@ -43,17 +45,11 @@ def emit(name: str, text: str, capsys=None, directory=None) -> pathlib.Path:
 
 
 def write_json(name: str, payload: Any, directory=None) -> pathlib.Path:
-    """Atomically archive ``<name>.json`` (tmp file + ``os.replace``)."""
-    directory = ensure_results_dir(directory)
-    path = directory / f"{name}.json"
-    tmp = directory / f".{name}.json.tmp{os.getpid()}"
-    try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                  default=str) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Atomically archive ``<name>.json`` (see :func:`atomic_write`)."""
+    path = ensure_results_dir(directory) / f"{name}.json"
+    with atomic_write(path) as handle:
+        handle.write((json.dumps(payload, indent=2, sort_keys=True,
+                                 default=str) + "\n").encode())
     return path
 
 

@@ -50,7 +50,6 @@ class RunContext:
     spec: GridSpec
     run_dir: Optional[pathlib.Path] = None   # per-run state (checkpoints)
     resume: bool = False                     # honour on-disk round checkpoints
-    keep_result: bool = False                # retain the FitResult object
 
 
 @dataclass
@@ -59,7 +58,6 @@ class RunOutput:
 
     metrics: Dict[str, Any]
     meta: Dict[str, Any] = field(default_factory=dict)
-    result: Any = None                       # optional rich object (in-memory)
 
 
 RunnerFn = Callable[[RunSpec, RunContext], RunOutput]
@@ -81,27 +79,13 @@ def resolve_runner(name: str) -> RunnerFn:
     return _RUNNERS[name]
 
 
-def register_scenario(name: str, builder: Callable[[int], Scenario],
-                      replace: bool = False) -> None:
-    """Register a named scenario provider beyond the protocol's builders.
-
-    ``builder(data_seed)`` must return a :class:`Scenario`.  Providers
-    registered in the parent process are visible to forked shard workers;
-    under a spawning start method, register them from the spec's
-    ``runner_module`` so child processes re-register on import.
-    """
-    if name in _SCENARIOS and not replace:
-        raise ValueError(f"scenario provider {name!r} is already registered")
-    _SCENARIOS[name] = builder
-
-
 @contextlib.contextmanager
 def scenario_scope(name: str, scenario: Scenario) -> Iterator[None]:
     """Temporarily serve a prebuilt scenario object under ``name``.
 
-    Used by :func:`~repro.experiments.grid.replicate.run_replicated` to
-    grid over a caller-constructed scenario without touching the global
-    registry permanently.
+    The seam for gridding over a caller-constructed scenario (tests use
+    it to substitute a tiny one).  Forked pool workers inherit the
+    substitution; workers of a spawning start method do not.
     """
     previous = _SCENARIOS.get(name)
     _SCENARIOS[name] = lambda _seed: scenario
@@ -212,8 +196,7 @@ def method_runner(run: RunSpec, context: RunContext) -> RunOutput:
     for key in ("round_seconds", "faults", "op_profile"):
         if key in result.metadata:
             meta[key] = result.metadata[key]
-    return RunOutput(metrics=metrics, meta=meta,
-                     result=result if context.keep_result else None)
+    return RunOutput(metrics=metrics, meta=meta)
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +246,7 @@ def beta_probe_runner(run: RunSpec, context: RunContext) -> RunOutput:
         "accuracy_unseen_fold": float(probe.accuracy_unseen_fold),
         "gap": float(probe.gap),
     }
-    return RunOutput(metrics=metrics,
-                     result=probe if context.keep_result else None)
+    return RunOutput(metrics=metrics)
 
 
 # ----------------------------------------------------------------------
@@ -315,131 +297,7 @@ def serve_drift_runner(run: RunSpec, context: RunContext) -> RunOutput:
             "accuracy_curve": payload.pop("accuracy_curve"),
             "detection_statistics": payload.pop("detection_statistics")}
     payload.pop("seed")
-    return RunOutput(metrics=payload, meta=meta,
-                     result=result if context.keep_result else None)
-
-
-# ----------------------------------------------------------------------
-# Serving load: one pipeline throughput/latency cell per run
-# (repro.experiments.serve_load), T x batching declarable as factors.
-
-#: LoadConfig fields a grid cell may set (as factors or overrides).
-SERVING_LOAD_OVERRIDES = (
-    "ensemble_size", "batching", "requests", "rows", "clients", "warmup",
-    "arrival", "rate", "rate_end", "burst_period_s", "burst_duty",
-    "max_batch_rows", "max_wait_ms",
-    "probe_requests", "input_dim", "num_classes",
-)
-
-
-def serving_load_runner(run: RunSpec, context: RunContext) -> RunOutput:
-    """One load-harness cell: pipeline config in, QPS/latency/parity out.
-
-    ``ensemble_size`` and ``batching`` ride the ordinary factor axes, so
-    a T × {on, off} sweep is a plain 2-factor grid; wall-clock numbers
-    (QPS, percentiles) are measurements, not reproducible aggregates —
-    only ``parity_ok`` is a deterministic bit.
-    """
-    from repro.experiments.serve_load import LoadConfig, run_serve_load
-
-    kwargs = {}
-    overrides = run.override_dict
-    for name in SERVING_LOAD_OVERRIDES:
-        if name in overrides:
-            kwargs[name] = overrides.pop(name)
-        elif name in run.factor_dict:
-            kwargs[name] = run.factor_dict[name]
-    if overrides:
-        raise ValueError(f"serving_load runner got unknown overrides: "
-                         f"{sorted(overrides)}")
-    result = run_serve_load(LoadConfig(seed=run.seed, **kwargs))
-    metrics = {
-        "qps": result.qps,
-        "latency_p50_ms": result.latency_ms["p50"],
-        "latency_p95_ms": result.latency_ms["p95"],
-        "latency_p99_ms": result.latency_ms["p99"],
-        "mean_batch_requests": result.mean_batch_requests,
-        "parity_ok": result.parity_ok,
-    }
-    meta = {"batching": result.batching, "arrival": result.arrival,
-            "requests": result.requests,
-            "batches_formed": result.batches_formed}
-    if result.open_loop:
-        meta["open_loop"] = result.open_loop
-    return RunOutput(metrics=metrics, meta=meta,
-                     result=result if context.keep_result else None)
-
-
-SERVE_OVERLOAD_OVERRIDES = (
-    "load_factor", "resilient", "ensemble_size", "rows", "member_seconds",
-    "max_batch_rows", "max_wait_ms", "queue_depth", "target_delay_ms",
-    "interval_ms", "slo_ms", "horizon_s", "input_dim", "num_classes",
-)
-
-
-def serve_overload_runner(run: RunSpec, context: RunContext) -> RunOutput:
-    """One virtual-time overload cell: offered load in, goodput/p99 out.
-
-    ``load_factor`` (× analytic capacity) and ``resilient`` ride the
-    factor axes, so the bench's {0.5×, 1×, 2×} × {resilient, baseline}
-    grid is a plain 2-factor sweep.  Fully deterministic: the cell runs
-    on a manual clock, so every metric is a reproducible bit pattern.
-    """
-    from repro.experiments.serve_overload import (
-        OverloadConfig,
-        analytic_capacity,
-        run_overload_cell,
-    )
-
-    merged = {**run.factor_dict, **run.override_dict}
-    factor = float(merged.pop("load_factor", 1.0))
-    resilient = bool(merged.pop("resilient", True))
-    unknown = set(merged) - set(SERVE_OVERLOAD_OVERRIDES)
-    if unknown:
-        raise ValueError(f"serve_overload runner got unknown overrides: "
-                         f"{sorted(unknown)}")
-    config = OverloadConfig(seed=run.seed, **merged)
-    cell = run_overload_cell(config, rate=factor * analytic_capacity(config),
-                             resilient=resilient)
-    metrics = {
-        "goodput_rps": cell["goodput_rps"],
-        "latency_p50_ms": cell["latency_ms"]["p50"],
-        "latency_p99_ms": cell["latency_ms"]["p99"],
-        "shed": cell["shed"],
-        "brownout_batches": cell["brownout_batches"],
-        "conserved": cell["conserved"],
-    }
-    meta = {"rate": cell["rate"], "resilient": cell["resilient"],
-            "requests": cell["requests"], "parity": cell["parity"]}
-    return RunOutput(metrics=metrics, meta=meta,
-                     result=cell if context.keep_result else None)
-
-
-SERVE_CHAOS_OVERRIDES = ("schedules", "events", "horizon_s", "base_rate")
-
-
-def serve_chaos_runner(run: RunSpec, context: RunContext) -> RunOutput:
-    """One chaos campaign: seeded schedules in, invariant verdicts out."""
-    from repro.experiments.serve_chaos import ChaosConfig, run_chaos_suite
-
-    merged = {**run.factor_dict, **run.override_dict}
-    unknown = set(merged) - set(SERVE_CHAOS_OVERRIDES)
-    if unknown:
-        raise ValueError(f"serve_chaos runner got unknown overrides: "
-                         f"{sorted(unknown)}")
-    payload = run_chaos_suite(ChaosConfig(seed=run.seed, **merged))
-    metrics = {
-        "ok": payload["ok"],
-        "schedules": payload["schedules"],
-        "shed": payload["total_shed"],
-        "failed": payload["total_failed"],
-        "member_deaths": payload["total_member_deaths"],
-    }
-    meta = {"event_kinds": payload["event_kinds"],
-            "failed_seeds": payload["failed_seeds"],
-            "base_rate_rps": payload["base_rate_rps"]}
-    return RunOutput(metrics=metrics, meta=meta,
-                     result=payload if context.keep_result else None)
+    return RunOutput(metrics=payload, meta=meta)
 
 
 # ----------------------------------------------------------------------
@@ -451,17 +309,13 @@ def _variant_runner(variant_fn) -> RunnerFn:
         result = variant_fn(scenario, rng=run_rng(run), **run.override_dict)
         metrics = resolve_collector(run.collect)(run, result, scenario)
         return RunOutput(metrics=metrics,
-                         meta={"method_label": result.method},
-                         result=result if context.keep_result else None)
+                         meta={"method_label": result.method})
     return runner
 
 
 register_runner("method", method_runner)
 register_runner("beta_probe", beta_probe_runner)
 register_runner("serve_drift", serve_drift_runner)
-register_runner("serving_load", serving_load_runner)
-register_runner("serve_overload", serve_overload_runner)
-register_runner("serve_chaos", serve_chaos_runner)
 register_runner("edde_cumulative_weights",
                 _variant_runner(run_edde_cumulative_weights))
 register_runner("edde_correlate_previous_model",

@@ -37,8 +37,8 @@ RESERVED_FACTORS = ("method", "scenario", "seed", "case")
 
 _SPEC_FIELDS = {
     "name", "factors", "cases", "base", "constraints", "runner", "collect",
-    "runner_module", "data_seed", "profile_ops", "checkpoint", "keep_last",
-    "max_retries", "group_by",
+    "data_seed", "profile_ops", "checkpoint", "keep_last", "max_retries",
+    "group_by",
 }
 
 
@@ -130,10 +130,6 @@ class GridSpec:
         Registry keys (see :mod:`~repro.experiments.grid.runners` and
         :mod:`~repro.experiments.grid.collectors`).  A case bundle may
         override ``runner`` per cell.
-    runner_module:
-        Optional dotted module imported before runner resolution, so
-        sharded worker processes see the same registrations as the
-        parent (needed for project-specific runners under ``spawn``).
     checkpoint / keep_last / max_retries:
         Per-run training fault tolerance, threaded into the PR 2
         machinery by the method runner.
@@ -148,7 +144,6 @@ class GridSpec:
     constraints: List[Dict[str, Any]] = field(default_factory=list)
     runner: str = "method"
     collect: str = "standard"
-    runner_module: Optional[str] = None
     data_seed: int = 0
     profile_ops: bool = False
     checkpoint: bool = True
@@ -200,8 +195,6 @@ class GridSpec:
         }
         if self.cases is not None:
             payload["cases"] = self.cases
-        if self.runner_module:
-            payload["runner_module"] = self.runner_module
         if self.group_by is not None:
             payload["group_by"] = self.group_by
         return payload

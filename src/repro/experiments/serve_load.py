@@ -36,8 +36,7 @@ at CI scale.
 
 ``repro serve-load`` and ``benchmarks/bench_serving.py`` both drive
 :func:`run_load_suite` — a T × {batching on, off} sweep — and archive
-``results/BENCH_serving.json``; the registered ``serving_load`` grid
-runner makes single cells declarable grid cells.
+``results/BENCH_serving.json``.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops import workspace
-from repro.ops.modes import state as _modes
 from repro.ops.registry import register
 
 # An untaped conv2d unfolds and multiplies at most this many images at a
@@ -79,23 +78,20 @@ def _interior(ndim: int, padding: int) -> tuple:
         (slice(padding, -padding),) * (ndim - 2)
 
 
-def _patch_buffer(shape: tuple, dtype) -> np.ndarray:
+def _patch_buffer(shape: tuple, dtype, taped: bool = False) -> np.ndarray:
     """A patch buffer: pooled in a taped forward, the caller's own if not.
 
     Only a taped forward's buffer comes back to the pool, after its
     backward; an untaped forward taking one would pop a training buffer
-    of the same shape and drop it.  The unfold helpers keep their
-    context-free ``(x, k)`` / ``(x, kh, kw, stride)`` signatures (the
-    parity tests swap two-argument references in for them), so the conv
-    forwards copy ``ctx.taped`` to the thread's mode record
-    (:mod:`repro.ops.modes`) for them to read here.
+    of the same shape and drop it.
     """
-    if _modes.taped:
+    if taped:
         return workspace.acquire(shape, dtype)
     return np.empty(shape, dtype=dtype)
 
 
-def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
+def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int,
+                   taped: bool = False):
     """Unfold (N, C, H, W) into (N, C*kh*kw, L) using a :func:`_patch_buffer`.
 
     Returns ``(cols, buffer)`` where ``cols`` is a reshaped view of
@@ -104,7 +100,7 @@ def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
-    buffer = _patch_buffer((n, c, kh, kw, out_h, out_w), x.dtype)
+    buffer = _patch_buffer((n, c, kh, kw, out_h, out_w), x.dtype, taped)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
@@ -113,7 +109,7 @@ def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
     return buffer.reshape(n, c * kh * kw, out_h * out_w), buffer
 
 
-def _im2col_same(x: np.ndarray, k: int):
+def _im2col_same(x: np.ndarray, k: int, taped: bool = False):
     """Unfold (N, C, H, W) for a stride-1 k×k conv padded by ``k // 2``.
 
     The result equals ``_im2col_pooled(_pad(x, k // 2), k, k, 1)`` bit
@@ -124,7 +120,7 @@ def _im2col_same(x: np.ndarray, k: int):
     p = k // 2
     hw = h * w
     edge = p * w + p
-    buffer = _patch_buffer((n, c, k, k, h, w), x.dtype)
+    buffer = _patch_buffer((n, c, k, k, h, w), x.dtype, taped)
     taps = buffer.reshape(n * c, k, k, hw)
     images = x.reshape(n * c, h, w)
     flat = images.reshape(n * c, hw)
@@ -174,11 +170,11 @@ def _col2im(cols, x_shape, kh, kw, stride):
     return x.transpose(2, 3, 0, 1)
 
 
-def _unfold(x, kh, kw, stride, padding):
+def _unfold(x, kh, kw, stride, padding, taped):
     """``(cols, buffer)`` of ``x`` for a conv2d: shifted runs or slices."""
     if stride == 1 and kh == kw == 2 * padding + 1:
-        return _im2col_same(x, kh)                     # (N, C*KH*KW, L)
-    return _im2col_pooled(_pad(x, padding), kh, kw, stride)
+        return _im2col_same(x, kh, taped)              # (N, C*KH*KW, L)
+    return _im2col_pooled(_pad(x, padding), kh, kw, stride, taped)
 
 
 def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
@@ -190,9 +186,8 @@ def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
     out_w = _conv_output_size(w, kw, stride)
     w_mat = weight.reshape(f, -1)                      # (F, C*KH*KW)
 
-    _modes.taped = ctx.taped                           # for _patch_buffer
     if ctx.taped:
-        cols, buffer = _unfold(x, kh, kw, stride, padding)
+        cols, buffer = _unfold(x, kh, kw, stride, padding, True)
         out = w_mat @ cols                             # (N, F, L) via BLAS
         ctx.workspaces = (buffer,)
         ctx.cols = cols
@@ -206,7 +201,7 @@ def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
                        dtype=np.result_type(w_mat.dtype, x.dtype))
         for start in range(0, n, _UNTAPED_BLOCK):
             block = slice(start, start + _UNTAPED_BLOCK)
-            cols = _unfold(x[block], kh, kw, stride, padding)[0]
+            cols = _unfold(x[block], kh, kw, stride, padding, False)[0]
             np.matmul(w_mat, cols, out=out[block])
             del cols                     # before the next block's unfold
     if bias is not None:
@@ -241,8 +236,7 @@ def _conv1d_forward(ctx, x, weight, *rest, stride, padding):
     f, _, k = weight.shape
     out_l = _conv_output_size(length, k, stride)
 
-    _modes.taped = ctx.taped                           # for _patch_buffer
-    buffer = _patch_buffer((n, c, k, out_l), x.dtype)
+    buffer = _patch_buffer((n, c, k, out_l), x.dtype, ctx.taped)
     for i in range(k):
         buffer[:, :, i] = x[:, :, i:i + stride * out_l:stride]
     cols = buffer.reshape(n, c * k, out_l)

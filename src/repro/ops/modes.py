@@ -23,13 +23,11 @@ lookup):
 * ``dtype`` — a :func:`repro.tensor.dtype_scope` override of the default
   float dtype, or None.
 
-The record also holds two pieces of state that are not modes, so
-:func:`modes` does not set them: the thread's workspace free lists
-(``free``, see :mod:`repro.ops.workspace`), and ``taped``, which a conv
-forward sets to its op's ``ctx.taped`` so the unfold helpers, which take
-no context, know whether their patch buffer may come from the pool
-(:mod:`repro.ops.conv`).  The record sits below the tensor layer so
-kernels, the dispatcher and the layers can read it without import cycles.
+The record also holds the thread's workspace free lists (``free``, see
+:mod:`repro.ops.workspace`), which are state rather than a mode, so
+:func:`modes` does not set them.  The record sits below the tensor layer
+so kernels, the dispatcher and the layers can read it without import
+cycles.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class Modes(threading.local):
     cell = None
     profiler = None
     dtype = None
-    taped = False
 
     def __init__(self):
         # ``threading.local`` runs ``__init__`` once per thread, on first

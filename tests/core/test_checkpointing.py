@@ -1,6 +1,8 @@
 """CheckpointManager unit tests: layout, retention, atomicity, errors."""
 
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -95,6 +97,32 @@ class TestRetention:
             fault_tolerance=FaultTolerance(
                 checkpoint=CheckpointManager(directory)))
         assert CheckpointManager(directory).available_rounds() == [1, 2]
+
+    def test_kill_while_publishing_keeps_a_loadable_round(
+            self, tmp_path, mlp_factory, monkeypatch):
+        # keep_last=1: saving round 2 drops round 1.  A kill before the new
+        # manifest lands must leave the old manifest's round on disk.
+        from repro.core import Ensemble
+
+        ensemble = Ensemble()
+        ensemble.add(mlp_factory.build(rng=0), alpha=1.0)
+        directory = tmp_path / "checkpoints"
+        manager = CheckpointManager(directory, keep_last=1)
+        manager.snapshot_ensemble(ensemble, round_index=1)
+        replace = os.replace
+
+        def killed_at_manifest(src, dst):
+            if pathlib.Path(dst).name == "manifest.json":
+                raise OSError("killed while publishing the manifest")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_at_manifest)
+        with pytest.raises(OSError, match="killed"):
+            manager.snapshot_ensemble(ensemble, round_index=2)
+        monkeypatch.undo()
+        state = CheckpointManager(directory).load(mlp_factory)
+        assert state.round == 1
+        assert len(state.ensemble) == 1
 
 
 class TestLoadErrors:

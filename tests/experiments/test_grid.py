@@ -352,20 +352,13 @@ class TestExecution:
         # seed-0 runs still aggregated
         assert find_group(grid.aggregates, method="a", scenario="s1")["n"] == 1
 
-    def test_executor_validates_arguments(self, tmp_path):
+    def test_executor_validates_arguments(self):
         with pytest.raises(ValueError, match="bad shard"):
             GridExecutor(toy_spec(), shard_index=2, num_shards=2)
         with pytest.raises(ValueError, match="workers"):
             GridExecutor(toy_spec(), workers=0)
         with pytest.raises(ValueError, match="out_dir"):
             GridExecutor(toy_spec(), workers=2)
-        with pytest.raises(ValueError, match="keep_results"):
-            GridExecutor(toy_spec(), out_dir=tmp_path, workers=2,
-                         keep_results=True)
-
-    def test_keep_results_requires_in_memory_grid(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_results"):
-            run_grid(toy_spec(), out_dir=tmp_path, keep_results=True)
 
 
 class TestSharding:
@@ -478,14 +471,13 @@ class TestMethodRunnerIntegration:
                                  "scenario": ["tiny-reg"]},
                         checkpoint=False)
         with scenario_scope("tiny-reg", tiny_scenario):
-            grid = run_grid(spec, keep_results=True)
+            grid = run_grid(spec)
         assert grid.complete
         record = grid.one(method="edde")
         assert 0.0 <= record.metrics["final_accuracy"] <= 1.0
         assert record.metrics["num_members"] == 2
         assert record.meta["method_label"] == "EDDE"
         assert record.meta["resumed_from_round"] is False
-        assert record.result is not None          # keep_results=True
 
     def test_mid_fit_kill_resumes_from_round_checkpoint(self, tmp_path,
                                                         tiny_scenario):

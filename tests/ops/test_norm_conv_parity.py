@@ -232,9 +232,9 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def _padded_slices(x, k):
+def _padded_slices(x, k, *rest):
     """The strided-slice unfold of a ``_pad`` copy: the reference."""
-    return conv_ops._im2col_pooled(conv_ops._pad(x, k // 2), k, k, 1)
+    return conv_ops._im2col_pooled(conv_ops._pad(x, k // 2), k, k, 1, *rest)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
@@ -287,9 +287,9 @@ def test_unfold_choice_follows_stride_kernel_padding(kernel, stride, padding,
                                                      shifted, monkeypatch):
     calls = []
 
-    def spy(x, k):
+    def spy(x, k, *rest):
         calls.append(k)
-        return _padded_slices(x, k)
+        return _padded_slices(x, k, *rest)
 
     monkeypatch.setattr(conv_ops, "_im2col_same", spy)
     F.conv2d(Tensor(RNG.normal(size=(2, 3, 6, 6))),

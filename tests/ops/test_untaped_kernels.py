@@ -66,9 +66,9 @@ def test_untaped_conv2d_blocks_the_batch(monkeypatch):
     seen = []
     unfold = conv_ops._im2col_same
 
-    def spy(x, k):
+    def spy(x, k, *rest):
         seen.append(x.shape[0])
-        return unfold(x, k)
+        return unfold(x, k, *rest)
 
     monkeypatch.setattr(conv_ops, "_im2col_same", spy)
     x, w, _ = _conv_operands(70, np.float64, 3, bias=False)
@@ -143,20 +143,21 @@ def test_untaped_forward_leaves_pooled_buffer_in_place(op, scope):
 
 
 def test_a_taped_forward_on_another_thread_leaves_the_decision(monkeypatch):
-    """``taped`` lives on each thread's mode record: a taped conv that runs
-    on another thread between an untaped conv's decision and its unfold
-    does not make the untaped one take its thread's pooled buffer."""
+    """``taped`` is an argument of the unfold, not thread state: a taped
+    conv that runs on another thread between an untaped conv's decision
+    and its unfold does not make the untaped one take its thread's pooled
+    buffer."""
     key = (32, 2, 3, 3, 4, 4)
     x_data, w_data = RNG.normal(size=(32, 2, 4, 4)), RNG.normal(size=(3, 2, 3, 3))
     unfold = conv_ops._im2col_same
     go, trained = threading.Event(), threading.Event()
     seen = {}
 
-    def interleaving_unfold(x, k):
+    def interleaving_unfold(x, k, *rest):
         if threading.current_thread().name == "untaped":
             go.set()                       # the taped conv runs now...
             assert trained.wait(timeout=30)
-        return unfold(x, k)                # ...before this unfold
+        return unfold(x, k, *rest)         # ...before this unfold
 
     def train():
         assert go.wait(timeout=30)
