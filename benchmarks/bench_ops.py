@@ -10,6 +10,9 @@ paper artefacts), this one measures the op layer itself:
   ``inference_mode``, as engine evaluation and ``predict_probs`` run it):
   its forward µs and its ``tracemalloc`` peak bytes, the working set the
   blocked untaped unfold bounds;
+* one taped batch-32 ``c100-resnet`` training step (forward+backward
+  with a warm workspace pool): its ``tracemalloc`` peak in MB, the
+  working set the tape's freeing during backward bounds;
 * the fused ``softmax_cross_entropy`` / ``edde_loss`` kernels and the
   one-op ``nn.Linear`` against the multi-node chains they replace — the
   one-op path must win.  Each sample times the two paths back to back,
@@ -36,6 +39,7 @@ from repro.analysis import format_table
 # The fused edde_loss kernel is parity-tested against exactly this
 # unfused reference chain, so the micro-bench must call it directly.
 from repro.core.losses import diversity_driven_loss  # repro-lint: disable=RL001 (fused-vs-unfused reference chain)
+from repro.experiments.protocol import build_scenario
 from repro.nn import Linear
 from repro.nn import functional as F
 from repro.nn.losses import cross_entropy
@@ -141,6 +145,33 @@ def _bench_untaped_conv(repeats: int = 20) -> dict:
                        "forward_median_us": float(np.median(forward)),
                        "forward_max_us": max(forward),
                        "peak_bytes": peak}}
+
+
+def _bench_taped_step(batch: int = 32) -> dict:
+    """One ``c100-resnet`` training step's ``tracemalloc`` peak, in MB.
+
+    Forward and backward of the scenario's model on its first ``batch``
+    training images, after one warm-up step has filled the workspace
+    pool, so the peak is a steady-state step's: the live graph, the
+    gradients and the activations the backward has not yet released.
+    """
+    scenario = build_scenario("c100-resnet", rng=0)
+    model = scenario.factory.build(rng=0)
+    x, y = scenario.split.train.x[:batch], scenario.split.train.y[:batch]
+
+    def step():
+        model.zero_grad()
+        cross_entropy(model(Tensor(x)), y).backward()
+
+    step()  # warm-up: fills the pool with this batch's patch buffers
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"c100-resnet": {"case": f"batch {batch} forward+backward",
+                            "peak_mb": peak / 1e6}}
 
 
 # ----------------------------------------------------------------------
@@ -251,13 +282,18 @@ def _render(payload: dict) -> str:
                             "peak MB"], untaped_rows,
                            title="Untaped forward (inference_mode; peak is "
                                  "tracemalloc's over one call)")
+    taped_rows = [[name, row["case"], f"{row['peak_mb']:.2f}"]
+                  for name, row in payload["taped"].items()]
+    taped = format_table(["model", "step", "peak MB"], taped_rows,
+                         title="Taped training step (warm workspace pool; "
+                               "peak is tracemalloc's over one step)")
     fused_rows = [[name, f"{row['fused_us']:.1f}", f"{row['unfused_us']:.1f}",
                    f"{row['speedup']:.2f}x"]
                   for name, row in payload["fused"].items()]
     fused = format_table(["kernel", "fused µs", "unfused µs", "speedup"],
                          fused_rows, title="Fused kernels vs unfused chains "
                                            "(forward+backward)")
-    return f"{micro}\n\n{untaped}\n\n{fused}"
+    return f"{micro}\n\n{untaped}\n\n{taped}\n\n{fused}"
 
 
 def _run_bench_ops() -> dict:
@@ -265,6 +301,7 @@ def _run_bench_ops() -> dict:
         "dtype": np.dtype(default_dtype()).name,
         "ops": _bench_micro(),
         "untaped": _bench_untaped_conv(),
+        "taped": _bench_taped_step(),
         "fused": _bench_fused(),
     }
 

@@ -102,25 +102,6 @@ class Suppressions:
                 stale.append((entry.line, dead))
         return stale
 
-    # Backwards-compatible views of the parsed entries.
-    @property
-    def by_line(self) -> Dict[int, Set[str]]:
-        table: Dict[int, Set[str]] = {}
-        for entry in self.entries:
-            if entry.file_wide:
-                continue
-            for target in entry.targets:
-                table.setdefault(target, set()).update(entry.codes)
-        return table
-
-    @property
-    def file_wide(self) -> Set[str]:
-        codes: Set[str] = set()
-        for entry in self.entries:
-            if entry.file_wide:
-                codes |= entry.codes
-        return codes
-
 
 def _parse_suppressions(text: str) -> Suppressions:
     supp = Suppressions()

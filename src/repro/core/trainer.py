@@ -18,6 +18,7 @@ from repro.data.dataset import Dataset
 from repro.data.loader import DataLoader
 from repro.nn import cross_entropy
 from repro.nn.module import Module
+from repro.ops import workspace
 from repro.optim import (
     ConstantLR,
     CosineAnnealingLR,
@@ -148,29 +149,34 @@ def train_model(
                         augment=config.augment, rng=rng, drop_last=config.drop_last)
 
     model.train()
-    for epoch in range(config.epochs):
-        optimizer.set_lr(schedule.lr_at(epoch))
-        epoch_loss = 0.0
-        epoch_correct = 0
-        seen = 0
-        for batch_index, (x_batch, y_batch, indices) in enumerate(loader):
-            optimizer.zero_grad()
-            logits = model(x_batch)
-            loss = loss_fn(logits, y_batch, indices)
-            loss.backward()
-            if config.grad_clip:
-                _clip_gradients(model, config.grad_clip)
-            optimizer.step()
-            epoch_loss += loss.item() * len(y_batch)
-            epoch_correct += int((logits.data.argmax(axis=1) == y_batch).sum())
-            seen += len(y_batch)
-            if on_batch_end is not None:
-                on_batch_end(model, batch_index, loss.item())
-        logger.log(epoch=epoch, loss=epoch_loss / max(1, seen),
-                   train_accuracy=epoch_correct / max(1, seen),
-                   lr=optimizer.lr)
-        if on_epoch_end is not None:
-            on_epoch_end(model, epoch)
-        model.train()
+    try:
+        for epoch in range(config.epochs):
+            optimizer.set_lr(schedule.lr_at(epoch))
+            epoch_loss = 0.0
+            epoch_correct = 0
+            seen = 0
+            for batch_index, (x_batch, y_batch, indices) in enumerate(loader):
+                optimizer.zero_grad()
+                logits = model(x_batch)
+                loss = loss_fn(logits, y_batch, indices)
+                loss.backward()
+                if config.grad_clip:
+                    _clip_gradients(model, config.grad_clip)
+                optimizer.step()
+                epoch_loss += loss.item() * len(y_batch)
+                epoch_correct += int((logits.data.argmax(axis=1) == y_batch).sum())
+                seen += len(y_batch)
+                if on_batch_end is not None:
+                    on_batch_end(model, batch_index, loss.item())
+            logger.log(epoch=epoch, loss=epoch_loss / max(1, seen),
+                       train_accuracy=epoch_correct / max(1, seen),
+                       lr=optimizer.lr)
+            if on_epoch_end is not None:
+                on_epoch_end(model, epoch)
+            model.train()
+    finally:
+        # Only this loop's taped steps take the pooled patch buffers:
+        # do not keep them under the evaluation that follows.
+        workspace.clear()
     model.eval()
     return logger

@@ -18,7 +18,8 @@ bit-identical to an uninterrupted single-shard execution.
 State directory layout::
 
     <out>/<grid_name>/
-      grid.json                  # spec payload + spec_hash (resume guard)
+      grid.json                  # spec payload, spec_hash and the resolved
+                                 # REPRO_* settings (resume guard)
       manifest/<run_id>.json     # one atomic entry per completed run
       runs/<run_id>/checkpoints/ # per-round training state (mid-run kills)
 """
@@ -40,6 +41,7 @@ from repro.experiments.grid.aggregate import (
 )
 from repro.experiments.grid.runners import RunContext, resolve_runner
 from repro.experiments.grid.spec import GridSpec, RunSpec
+from repro.experiments.protocol import resolved_settings
 
 _GRID_HEADER = "grid.json"
 _PRIMARY_METRIC = "final_accuracy"
@@ -201,10 +203,17 @@ class GridExecutor:
                 f"{self.grid_dir} holds state for a different spec "
                 f"(hash {header.get('spec_hash')} != {self.spec.spec_hash}); "
                 f"use a fresh --out directory")
+        settings = resolved_settings()
         if header is None:
             _atomic_write_json(header_path, {
                 "name": self.spec.name, "spec": self.spec.to_payload(),
-                "spec_hash": self.spec.spec_hash})
+                "spec_hash": self.spec.spec_hash, "settings": settings})
+        elif header.get("settings") != settings:
+            raise GridStateError(
+                f"{self.grid_dir} holds runs made under other REPRO_* "
+                f"settings ({header.get('settings')} != {settings}); rerun "
+                f"under the recorded REPRO_SCALE/REPRO_TRAIN_SIZE/"
+                f"REPRO_TEST_SIZE/REPRO_DTYPE or use a fresh --out directory")
         if not self.resume:
             stale = [run.run_id for run in self.shard_runs()
                      if (self.grid_dir / "manifest"

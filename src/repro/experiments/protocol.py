@@ -37,6 +37,7 @@ from repro.data import (
 from repro.data.dataset import TrainTestSplit
 from repro.models import DenseNetCIFAR, ModelFactory, ResNetCIFAR, TextCNN
 from repro.models.textcnn import textcnn_conv_beta
+from repro.tensor import default_dtype
 from repro.utils.rng import RngLike
 
 
@@ -51,6 +52,23 @@ def _scaled(epochs: int) -> int:
 
 def _env_int(name: str, default: int) -> int:
     return int(os.environ.get(name, default))
+
+
+def resolved_settings() -> dict:
+    """What ``REPRO_SCALE``, ``REPRO_TRAIN_SIZE``, ``REPRO_TEST_SIZE`` and
+    ``REPRO_DTYPE`` resolve to now: every one of them changes results.
+
+    The size overrides read ``None`` when unset.  A grid records this in
+    its state directory, so a resume under other values cannot reuse runs
+    of another protocol.
+    """
+    def size(name: str) -> Optional[int]:
+        value = os.environ.get(name)
+        return None if value is None else int(value)
+
+    return {"scale": scale(), "train_size": size("REPRO_TRAIN_SIZE"),
+            "test_size": size("REPRO_TEST_SIZE"),
+            "dtype": default_dtype().name}
 
 
 @dataclass

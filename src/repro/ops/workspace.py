@@ -6,6 +6,18 @@ buffer is re-allocated every call.  The pool hands such buffers out and
 takes them back, so steady-state training does one allocation per
 distinct shape instead of one per call.
 
+The free lists are keyed by a buffer's trailing shape and dtype, not
+its row count.  A request gets a free buffer of exactly its shape
+itself, or else the leading rows of the smallest larger one — a
+C-contiguous view, fully overwritten by the unfold that asked for it —
+so the ragged last batch of an epoch reuses the full batch's buffers
+instead of pooling a second, smaller set.  A request larger than every
+free buffer of its key allocates a new one and drops the smaller ones;
+``release`` takes a leading-rows view back as the buffer that owns it.
+Buffers live as long as one training loop:
+:func:`repro.core.trainer.train_model` empties the pool when its loop
+ends, so none sit under the evaluation that follows.
+
 Ownership protocol: only a taped forward calls ``acquire`` (the op's
 ``ctx.taped``, decided by the dispatcher before the forward), and it
 records the buffer in ``ctx.workspaces``.  A pooled buffer lives only
@@ -42,29 +54,45 @@ _MAX_PER_KEY = 8
 
 
 def _free() -> Dict[Tuple[tuple, np.dtype], List[np.ndarray]]:
-    """This thread's free lists (created empty on first touch)."""
+    """This thread's free lists by (trailing shape, dtype), created empty."""
     return _modes.free
 
 
 def acquire(shape: tuple, dtype) -> np.ndarray:
-    """Return an uninitialised buffer of ``shape``/``dtype`` from the pool."""
-    key = (tuple(shape), np.dtype(dtype))
-    stack = _free().get(key)
+    """Return an uninitialised buffer of ``shape``/``dtype`` from the pool.
+
+    A free buffer of exactly ``shape`` is returned itself; otherwise the
+    leading rows of the smallest larger free buffer of the same trailing
+    shape.  A request larger than every free buffer of its key allocates
+    a new one and drops the smaller free ones.
+    """
+    rows = shape[0]
+    stack = _free().get((tuple(shape[1:]), np.dtype(dtype)))
     if stack:
-        return stack.pop()
+        sizes = [len(free) for free in stack]
+        fits = [size for size in sizes if size >= rows]
+        if fits:
+            buffer = stack.pop(sizes.index(min(fits)))
+            return buffer if len(buffer) == rows else buffer[:rows]
+        stack.clear()
     return np.empty(shape, dtype=dtype)
 
 
 def release(array: np.ndarray) -> None:
-    """Return a buffer acquired via :func:`acquire` to the pool."""
-    key = (array.shape, array.dtype)
-    stack = _free().setdefault(key, [])
+    """Return a buffer acquired via :func:`acquire` to the pool.
+
+    A leading-rows view goes back as the buffer that owns it.
+    """
+    owner = array.base
+    if isinstance(owner, np.ndarray) and owner.shape[1:] == array.shape[1:]:
+        array = owner
+    stack = _free().setdefault((array.shape[1:], array.dtype), [])
     if len(stack) < _MAX_PER_KEY:
         stack.append(array)
 
 
 def clear() -> None:
-    """Drop this thread's pooled buffers (tests; memory pressure)."""
+    """Drop this thread's pooled buffers (a training loop's end; tests)."""
     _free().clear()
 
 

@@ -232,12 +232,15 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
-        The tape is consumed: after this returns, every visited node's
-        parent links, op context and pooled workspaces have been
-        released, so intermediate activations are collectable
-        immediately.  A second ``backward()`` through the same graph is
-        therefore not possible — build a fresh graph instead (the
-        trainers always do).
+        The tape is consumed during the walk, not only after it: as
+        soon as a node's backward has run, its parent links, op context
+        and pooled workspaces are released and the walk drops its own
+        reference to it, so an intermediate no caller holds (with its
+        activation and gradient) is collectable before the next node's
+        backward runs.  A tensor the caller still holds keeps its
+        ``.data`` and ``.grad``.  A second ``backward()`` through the
+        same graph is therefore not possible — build a fresh graph
+        instead (the trainers always do).
 
         Parameters
         ----------
@@ -275,7 +278,8 @@ class Tensor:
         mode = _modes
         prof = mode.profiler
         sanitizing = mode.sanitize
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             ctx = node._ctx
             if ctx is None:
                 continue

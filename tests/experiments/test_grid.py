@@ -35,6 +35,7 @@ from repro.experiments.grid import (
 )
 from repro.experiments.grid.spec import canonical_json
 from repro.experiments.protocol import Scenario
+from repro.tensor import default_dtype
 
 from tests.faults.injection import InjectFault
 
@@ -450,6 +451,36 @@ class TestResume:
                      num_shards=2).execute()
         records, missing = collect_records(spec, tmp_path)
         assert not missing and len(records) == 8
+
+    def test_refuses_resume_under_other_repro_settings(self, tmp_path,
+                                                       monkeypatch):
+        # REPRO_SCALE is not part of the spec hash, but it sets the
+        # epoch budget: a resume at 0.5 must not reuse a 0.13 record.
+        spec = GridSpec(name="scale_guard",
+                        factors={"method": ["single"],
+                                 "scenario": ["mr-textcnn"], "seed": [0]},
+                        checkpoint=False)
+        monkeypatch.setenv("REPRO_TRAIN_SIZE", "60")
+        monkeypatch.setenv("REPRO_TEST_SIZE", "30")
+        monkeypatch.setenv("REPRO_SCALE", "0.13")
+        assert run_grid(spec, out_dir=tmp_path).complete
+        header = json.loads((tmp_path / spec.name / "grid.json").read_text())
+        assert header["settings"] == {"scale": 0.13, "train_size": 60,
+                                      "test_size": 30,
+                                      "dtype": default_dtype().name}
+        monkeypatch.setenv("REPRO_SCALE", "0.5")
+        with pytest.raises(GridStateError, match="REPRO_"):
+            run_grid(spec, out_dir=tmp_path, resume=True)
+
+    def test_refuses_a_header_without_settings(self, tmp_path):
+        spec = toy_spec()
+        run_grid(spec, out_dir=tmp_path)
+        header_path = tmp_path / spec.name / "grid.json"
+        header = json.loads(header_path.read_text())
+        del header["settings"]
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(GridStateError, match="REPRO_"):
+            run_grid(spec, out_dir=tmp_path, resume=True)
 
 
 # ----------------------------------------------------------------------

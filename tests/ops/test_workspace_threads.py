@@ -29,14 +29,16 @@ class TestThreadLocalPools:
         def worker():
             seen["bytes"] = workspace.pooled_bytes()
             other = workspace.acquire((16, 16), np.float32)
-            seen["reused_cross_thread"] = other is buffer
+            rows = workspace.acquire((8, 16), np.float32)
+            seen["reused_cross_thread"] = other is buffer or \
+                np.shares_memory(rows, buffer)
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
         assert seen["bytes"] == 0                 # fresh pool per thread
         assert not seen["reused_cross_thread"]    # never hands out another
-        workspace.clear()                         # thread's buffer
+        workspace.clear()                         # thread's buffer or rows
 
     def test_release_then_acquire_reuses_in_thread(self):
         workspace.clear()
